@@ -62,7 +62,8 @@ void BM_NtStoreFence(benchmark::State& state) {
   uint64_t i = 0;
   const uint64_t lines = region.size / kCacheLineSize;
   for (auto _ : state) {
-    ctx.NtStore64(region.base + (i++ % lines) * kCacheLineSize, i);
+    ctx.NtStore64(region.base + (i % lines) * kCacheLineSize, i);
+    ++i;
     ctx.Sfence();
   }
   state.SetItemsProcessed(state.iterations());
@@ -89,7 +90,8 @@ void BM_CcehInsert(benchmark::State& state) {
   Cceh table(system.get(), ctx, 8, MemoryKind::kOptane);
   uint64_t key = 0;
   for (auto _ : state) {
-    table.Insert(ctx, ++key, key);
+    ++key;
+    table.Insert(ctx, key, key);
   }
   state.SetItemsProcessed(state.iterations());
 }

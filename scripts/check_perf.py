@@ -13,6 +13,11 @@ should land with a refreshed baseline file so the regression floor rises
 with it — otherwise the stale baseline quietly grants all future changes that
 much headroom before the floor can trip.
 
+A baseline and a current run are only comparable at the same scale: the gate
+exits 2 when a workload's `ops` or `reps` differ between the two (warm-up
+alone makes a quick-scale row look slower than a full-scale one), so the
+committed baseline must be regenerated with the exact CI invocation.
+
 The bars are deliberately loose: CI runners are noisy shared machines and the
 committed baseline comes from a different host, so this gate only catches
 catastrophic regressions (an accidental O(n) scan on a hot path, a debug
@@ -85,6 +90,15 @@ def main():
         if cur_row is None:
             failures.append(f"{workload}: missing from current run")
             continue
+        for key in ("ops", "reps"):
+            if base_row.get(key) != cur_row.get(key):
+                print(
+                    f"error: {workload}: {key} {cur_row.get(key)} in {args.current} differs "
+                    f"from {base_row.get(key)} in {args.baseline}; regenerate the baseline "
+                    f"with the same invocation",
+                    file=sys.stderr,
+                )
+                return 2
         base = base_row["sim_mops_per_sec"]
         cur = cur_row["sim_mops_per_sec"]
         if cur <= 0:

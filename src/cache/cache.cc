@@ -1,11 +1,6 @@
 #include "src/cache/cache.h"
 
-#include <algorithm>
-#include <bit>
-
-#if defined(__linux__)
 #include <sys/mman.h>
-#endif
 
 #include "src/common/check.h"
 
@@ -13,28 +8,22 @@ namespace pmemsim {
 
 namespace {
 
-// Ask the kernel to back a large long-lived array with huge pages. The block
-// array of a realistically sized L3 is tens of megabytes probed at random
-// set indices: under 4 KB pages every probe is also a dTLB miss, and x86
-// drops software prefetches whose translation misses — which defeats the
-// PrefetchSet overlap scheme entirely. 2 MB pages make the whole array a
-// handful of dTLB entries. Purely a host-side hint; harmless where
-// unsupported.
-void AdviseHugePages(void* p, size_t bytes) {
-#if defined(__linux__) && defined(MADV_HUGEPAGE)
-  constexpr uintptr_t kHuge = 2u << 20;
-  const uintptr_t start = (reinterpret_cast<uintptr_t>(p) + kHuge - 1) & ~(kHuge - 1);
-  const uintptr_t end = (reinterpret_cast<uintptr_t>(p) + bytes) & ~(kHuge - 1);
-  if (end > start) {
-    (void)madvise(reinterpret_cast<void*>(start), end - start, MADV_HUGEPAGE);
-  }
-#else
-  (void)p;
-  (void)bytes;
-#endif
+// A fresh anonymous mapping reads as zeros and takes no memory until a page
+// is first touched, so sets a run never touches cost nothing and no up-front
+// fill is needed. It is shared (shmem-backed) rather than private because
+// most pages are first touched by a probe's read: a private page would map
+// the zero page on that read and fault a second time on the first write,
+// while a shmem page is allocated once. Shared also means a forked child
+// would see these pages; the simulator never forks.
+uint8_t* MapZeroed(size_t bytes) {
+  void* p = mmap(nullptr, bytes, PROT_READ | PROT_WRITE, MAP_SHARED | MAP_ANONYMOUS, -1, 0);
+  PMEMSIM_CHECK(p != MAP_FAILED);
+  return static_cast<uint8_t*>(p);
 }
 
 }  // namespace
+
+void SetAssocCache::Unmap::operator()(void* p) const { munmap(p, bytes); }
 
 SetAssocCache::SetAssocCache(const CacheLevelConfig& config) : config_(config) {
   PMEMSIM_CHECK(config.ways > 0);
@@ -42,6 +31,8 @@ SetAssocCache::SetAssocCache(const CacheLevelConfig& config) : config_(config) {
   PMEMSIM_CHECK(config.size_bytes >= kCacheLineSize * config.ways);
   sets_ = static_cast<size_t>(config.size_bytes / (kCacheLineSize * config.ways));
   PMEMSIM_CHECK(sets_ > 0);
+  // Cold entries are indexed by u32: at most two per way.
+  PMEMSIM_CHECK(sets_ * config.ways < (size_t{1} << 31));
   set_mask_ = (sets_ & (sets_ - 1)) == 0 ? sets_ - 1 : 0;
   if (set_mask_ != 0) {
     mod_mul_ = 0;
@@ -55,16 +46,17 @@ SetAssocCache::SetAssocCache(const CacheLevelConfig& config) : config_(config) {
     PMEMSIM_CHECK(sets_ < (size_t{1} << 20));
     mod_mul_ = ~uint64_t{0} / sets_ + 1;
   }
-  stride_ = (4 * config.ways + 7) & ~size_t{7};  // whole 64 B lines per set
-  ways_mask_ = config.ways == 32 ? ~0u : (1u << config.ways) - 1u;
-  block_words_ = sets_ * stride_;
-  blocks_.reset(static_cast<uint64_t*>(
-      ::operator new[](block_words_ * sizeof(uint64_t), std::align_val_t{64})));
-  AdviseHugePages(blocks_.get(), block_words_ * sizeof(uint64_t));
-  std::fill_n(blocks_.get(), block_words_, 0);
-  valid_mask_.assign(sets_, 0);
-  ready_mask_.assign(sets_, 0);
-  pending_mask_.assign(sets_, 0);
+  const uint32_t ways = config.ways;
+  ways_mask_ = ways == 32 ? ~0u : (1u << ways) - 1u;
+  top_rank_ = ways - 1;
+  rank_words_ = (ways + 7) / 8;
+  for (uint32_t j = 0; j < rank_words_; ++j) {
+    const uint32_t lanes = std::min(8u, ways - 8 * j);
+    rank_lanes_[j] = lanes == 8 ? kByteOnes : kByteOnes & ((uint64_t{1} << (8 * lanes)) - 1);
+  }
+  tag_offset_ = (sizeof(SetHead) + ways + 7) & ~size_t{7};
+  stride_ = (tag_offset_ + ways * sizeof(Addr) + 63) & ~size_t{63};
+  Clear();
 }
 
 SetAssocCache::InvalidateResult SetAssocCache::Invalidate(Addr line_addr) {
@@ -72,15 +64,13 @@ SetAssocCache::InvalidateResult SetAssocCache::Invalidate(Addr line_addr) {
   // invalidations are found by the valid-way scan.
   const Addr line = CacheLineBase(line_addr);
   const size_t set = SetIndex(line);
-  const size_t base = set * stride_;
-  for (uint32_t m = valid_mask_[set]; m != 0; m &= m - 1) {
+  SetHead& h = Head(set);
+  const Addr* tags = Tags(h);
+  for (uint32_t m = h.valid; m != 0; m &= m - 1) {
     const uint32_t i = static_cast<uint32_t>(std::countr_zero(m));
-    Addr& t = Tag(base + i);
-    if (TagMatches(t, line)) {
-      InvalidateResult r{true, (t & kDirty) != 0};
-      t &= ~kDirty;
-      ClearValid(set, base + i);
-      ClearPending(set, base + i);
+    if (TagMatches(tags[i], line)) {
+      const InvalidateResult r{true, (tags[i] & kDirty) != 0};
+      DropWay(set, h, i);
       return r;
     }
   }
@@ -91,19 +81,18 @@ SetAssocCache::InvalidateResult SetAssocCache::WriteBack(Addr line_addr, Cycles 
                                                          bool retain) {
   const Addr line = CacheLineBase(line_addr);
   const size_t set = SetIndex(line);
-  const size_t base = set * stride_;
-  for (uint32_t m = valid_mask_[set]; m != 0; m &= m - 1) {
+  SetHead& h = Head(set);
+  Addr* tags = Tags(h);
+  for (uint32_t m = h.valid; m != 0; m &= m - 1) {
     const uint32_t i = static_cast<uint32_t>(std::countr_zero(m));
-    Addr& t = Tag(base + i);
-    if (TagMatches(t, line)) {
-      InvalidateResult r{true, (t & kDirty) != 0};
-      t &= ~kDirty;
+    if (TagMatches(tags[i], line)) {
+      const InvalidateResult r{true, (tags[i] & kDirty) != 0};
+      tags[i] &= ~kDirty;
       if (!retain) {
         if (invalidate_at != 0) {
-          PendingAt(base + i) = invalidate_at;
-          pending_mask_[set] |= 1u << i;
+          SetColdTime(set, h, i, kPendingAt, invalidate_at);
         } else {
-          pending_mask_[set] &= ~(1u << i);
+          DropPending(set, h, i);
         }
       }
       return r;
@@ -113,38 +102,43 @@ SetAssocCache::InvalidateResult SetAssocCache::WriteBack(Addr line_addr, Cycles 
 }
 
 bool SetAssocCache::ConsumePrefetchedFlag(Addr line_addr, Cycles now) {
-  size_t set;
-  const size_t w = FindWay(line_addr, now, &set);
-  if (w == kNone || (Tag(w) & kPrefetched) == 0) {
+  const Addr line = CacheLineBase(line_addr);
+  const size_t set = SetIndex(line);
+  const uint32_t i = FindWay(set, line, now);
+  if (i == kNoWay) {
     return false;
   }
-  Tag(w) &= ~kPrefetched;
+  Addr& tag = Tags(Head(set))[i];
+  if ((tag & kPrefetched) == 0) {
+    return false;
+  }
+  tag &= ~kPrefetched;
   return true;
 }
 
 void SetAssocCache::ApplyPendingInvalidate(Addr line_addr) {
   const Addr line = CacheLineBase(line_addr);
   const size_t set = SetIndex(line);
-  const size_t base = set * stride_;
-  for (uint32_t m = valid_mask_[set] & pending_mask_[set]; m != 0; m &= m - 1) {
+  SetHead& h = Head(set);
+  const Addr* tags = Tags(h);
+  for (uint32_t m = h.valid & h.pending; m != 0; m &= m - 1) {
     const uint32_t i = static_cast<uint32_t>(std::countr_zero(m));
-    Addr& t = Tag(base + i);
-    if (TagMatches(t, line)) {
-      t &= ~kDirty;
-      ClearValid(set, base + i);
-      ClearPending(set, base + i);
+    if (TagMatches(tags[i], line)) {
+      DropWay(set, h, i);
       return;
     }
   }
 }
 
 void SetAssocCache::Clear() {
-  std::fill_n(blocks_.get(), block_words_, 0);
-  valid_mask_.assign(valid_mask_.size(), 0);
-  ready_mask_.assign(ready_mask_.size(), 0);
-  pending_mask_.assign(pending_mask_.size(), 0);
-  // tick_ deliberately not reset: LRU order is relative, and Clear() between
-  // benchmark configurations must not make two runs' tick streams collide.
+  // Fresh mappings rather than fills: the old pages go back to the kernel
+  // and the new ones read as zeros (all ways invalid, all ranks 0, all
+  // cold lists empty).
+  blocks_ = {MapZeroed(sets_ * stride_), Unmap{sets_ * stride_}};
+  cold_head_ = {reinterpret_cast<uint32_t*>(MapZeroed(sets_ * sizeof(uint32_t))),
+                Unmap{sets_ * sizeof(uint32_t)}};
+  cold_pool_ = {};
+  cold_free_ = 0;
 }
 
 }  // namespace pmemsim

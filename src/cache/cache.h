@@ -2,33 +2,48 @@
 // invalidation (used to model the window between a clwb retiring and its
 // cache-side invalidation becoming visible to younger unordered loads on G1).
 //
-// Storage is struct-of-arrays, tuned for the scan-dominated access pattern:
-// every simulated load probes (and every nt-store snoops) all ways of a set
-// in each level, and most of those scans miss. The per-way hot word packs the
-// 64-aligned line tag with the valid/dirty/prefetched flags in its low bits,
-// so a whole 8-way set scan reads one host cache line instead of a dozen.
-// A per-set valid-way bitmask drives every scan — probes, snoops and victim
-// picks visit only occupied ways, and an nt-store stream invalidating
-// against caches it never fills (the ntstore hot-path shape) costs one load
-// per level instead of a tag walk. The rest of a set's state (LRU ticks,
-// fill-ready times, scheduled invalidations) lives in the same contiguous
-// per-set block right behind its tag words, so a probe's memory fetch also
-// covers the victim scan and LRU update of the insert that typically
-// follows a miss — the dominant cost at simulation scale is host cache
-// misses on these arrays, not instructions. Way-order semantics — victim
-// choice, LRU updates, lazy invalidation — are identical to the
-// straightforward array-of-structs implementation this replaces.
+// Storage layout. Every simulated load probes (and every nt-store snoops)
+// all ways of a set in each level, and most of those scans miss; at
+// simulation scale the cost is host cache misses on the set state, not
+// instructions. So each set is one contiguous 64 B-aligned hot block of
+// whole host lines holding everything a probe, a touch and a fill read:
+//
+//   [valid | ready | pending]  three u32 way masks (bit i = way i)
+//   [rank x ways]              one recency byte per way
+//   [tag x ways]               u64: 64-aligned line tag | dirty/prefetched
+//
+// That is 128 B for the 11/12-way L3s and the 8/12-way L1s, and 192 B for
+// the 16/20-way L2s (hot_bytes_per_set()). The valid mask drives every scan:
+// probes, snoops and victim picks visit only occupied ways, and an nt-store
+// stream snooping caches it never fills costs one mask load per level.
+//
+// Recency is exact LRU as a rank permutation: a touched way takes the top
+// rank (ways - 1) and every way ranked above its old rank steps down one, so
+// the least recently touched way holds rank 0. Ranks start at zero, and
+// before every way has been touched the untouched ones share rank 0 below
+// all touched ones — the victim, the first way of rank 0, is exactly the
+// first way with the smallest touch tick of a timestamped LRU.
+//
+// Fill-ready times and scheduled invalidation times are cold: they live out
+// of line, in per-set lists of pooled entries that exist exactly while the
+// way's ready/pending bit is set. The demand path reads them only for those
+// ways, and their size follows the live bits, not the way count. A way that
+// drops out of the valid mask drops both bits with it.
+//
+// The block array is a fresh zero-filled anonymous mapping: sets a run never
+// touches cost no memory, and Clear() hands every page back to the kernel.
 
 #ifndef SRC_CACHE_CACHE_H_
 #define SRC_CACHE_CACHE_H_
 
+#include <algorithm>
 #include <bit>
 #include <cstdint>
+#include <cstring>
 #include <memory>
-#include <new>
-#include <string>
 #include <vector>
 
+#include "src/common/check.h"
 #include "src/common/config.h"
 #include "src/common/types.h"
 
@@ -84,16 +99,15 @@ class SetAssocCache {
   Cycles hit_latency() const { return config_.hit_latency; }
   size_t sets() const { return sets_; }
   uint32_t ways() const { return config_.ways; }
+  // Host bytes of one set's hot block (masks, ranks, tags, padding).
+  size_t hot_bytes_per_set() const { return stride_; }
 
-  // Host-side hint: start fetching the set's hot words (tags + LRU) ahead of
-  // the probe/insert that is about to scan them. No simulated effect — purely
+  // Host-side hint: start fetching the set's hot block ahead of the
+  // probe/insert that is about to scan it. No simulated effect — purely
   // overlaps the host memory latency of multi-level lookups.
   void PrefetchSet(Addr line_addr) const {
-    const size_t set = SetIndex(CacheLineBase(line_addr));
-    __builtin_prefetch(&valid_mask_[set]);
-    const uint64_t* block = blocks_.get() + set * stride_;
-    // Cover the tag and LRU words (the demand path's whole footprint).
-    for (uint32_t off = 0; off < 2 * config_.ways; off += 8) {
+    const uint8_t* block = blocks_.get() + SetIndex(CacheLineBase(line_addr)) * stride_;
+    for (size_t off = 0; off < stride_; off += 64) {
       __builtin_prefetch(block + off);
     }
   }
@@ -101,17 +115,20 @@ class SetAssocCache {
   void Clear();
 
  private:
-  // Hot per-way word: 64-aligned line tag | flags (line addresses leave the
-  // low 6 bits free).
-  static constexpr Addr kValid = 1;
-  static constexpr Addr kDirty = 2;
-  static constexpr Addr kPrefetched = 4;
+  // Tag word: 64-aligned line tag | flags (line addresses leave the low 6
+  // bits free). Validity lives in the set's valid mask only.
+  static constexpr Addr kDirty = 1;
+  static constexpr Addr kPrefetched = 2;
   static constexpr Addr kTagMask = ~Addr{63};
 
-  // True iff the way holds `line` (a CacheLineBase value) and is valid.
-  static bool TagMatches(Addr hot, Addr line) {
-    return ((hot ^ line) & (kTagMask | kValid)) == kValid;
-  }
+  static bool TagMatches(Addr tag, Addr line) { return (tag & kTagMask) == line; }
+
+  // The head of a set's hot block; ranks follow it, then (8-aligned) tags.
+  struct SetHead {
+    uint32_t valid;    // way holds a line
+    uint32_t ready;    // way has a fill-ready time in the set's cold list
+    uint32_t pending;  // way has a scheduled invalidation in the cold list
+  };
 
   size_t SetIndex(Addr line_addr) const {
     const uint64_t n = line_addr / kCacheLineSize;
@@ -132,149 +149,284 @@ class SetAssocCache {
     return static_cast<size_t>(static_cast<uint64_t>((static_cast<U128>(frac) * sets_) >> 64));
   }
 
-  // A set's state is one contiguous 64 B-aligned block of stride_ words —
-  // [tags][lru][ready_at][pending_at] (padded to a whole host line) — so the
-  // probe's fetch of the tag words also pulls (or hardware-prefetches) the
-  // LRU words the insert after a miss scans. The ready_at/pending_at
-  // quarters are cold: per-set ready/pending bitmasks gate every read and
-  // write of them, so the demand path never touches those lines at all.
-  // `w` below is a block-coordinate way handle: set * stride_ + way.
-  Addr& Tag(size_t w) { return blocks_[w]; }
-  Addr Tag(size_t w) const { return blocks_[w]; }
-  uint64_t& Lru(size_t w) { return blocks_[w + config_.ways]; }
-  Cycles& ReadyAt(size_t w) { return blocks_[w + 2 * config_.ways]; }
-  Cycles ReadyAt(size_t w) const { return blocks_[w + 2 * config_.ways]; }
-  Cycles& PendingAt(size_t w) { return blocks_[w + 3 * config_.ways]; }
-  Cycles PendingAt(size_t w) const { return blocks_[w + 3 * config_.ways]; }
-
-  static constexpr size_t kNone = ~size_t{0};
-  // Returns the block-coordinate way handle holding the line or kNone;
-  // applies lazy invalidation. `set_out` receives the set index.
-  size_t FindWay(Addr line_addr, Cycles now, size_t* set_out);
-  size_t FindWayConst(Addr line_addr, Cycles now) const;
-  // The mask bit is the truth for pending/ready state; the block words are
-  // only meaningful while their bit is set, so clearing is a bit operation.
-  void ClearPending(size_t set, size_t w) {
-    pending_mask_[set] &= ~(1u << (w - set * stride_));
+  SetHead& Head(size_t set) { return *reinterpret_cast<SetHead*>(blocks_.get() + set * stride_); }
+  const SetHead& Head(size_t set) const {
+    return *reinterpret_cast<const SetHead*>(blocks_.get() + set * stride_);
   }
-  void ClearValid(size_t set, size_t w) {
-    Tag(w) &= ~kValid;
-    valid_mask_[set] &= ~(1u << (w - set * stride_));
+  static uint8_t* Ranks(SetHead& h) { return reinterpret_cast<uint8_t*>(&h + 1); }
+  static const uint8_t* Ranks(const SetHead& h) {
+    return reinterpret_cast<const uint8_t*>(&h + 1);
+  }
+  Addr* Tags(SetHead& h) const {
+    return reinterpret_cast<Addr*>(reinterpret_cast<uint8_t*>(&h) + tag_offset_);
+  }
+  const Addr* Tags(const SetHead& h) const {
+    return reinterpret_cast<const Addr*>(reinterpret_cast<const uint8_t*>(&h) + tag_offset_);
   }
 
-  struct Aligned64Delete {
-    void operator()(uint64_t* p) const { ::operator delete[](p, std::align_val_t{64}); }
+  // Rank bytes are updated eight at a time (SWAR); rank_lanes_[j] has 0x01
+  // in each byte of word j that is a real way, so the padding and tag bytes
+  // a word overlaps are read and written back unchanged.
+  static constexpr uint64_t kByteOnes = 0x0101010101010101ull;
+  static constexpr uint64_t kByteLow7 = 0x7f7f7f7f7f7f7f7full;
+
+  // Makes `way` the most recently used.
+  void Touch(SetHead& h, uint32_t way) const {
+    uint8_t* rank = Ranks(h);
+    const uint32_t r = rank[way];
+    if (r == top_rank_) {
+      return;
+    }
+    // Ranks are < 32, so (x | 0x80) - (r + 1) never borrows across bytes and
+    // its byte high bits flag the ranks above r.
+    const uint64_t above = kByteOnes * (r + 1);
+    for (uint32_t j = 0; j < rank_words_; ++j) {
+      uint64_t x;
+      std::memcpy(&x, rank + 8 * j, 8);
+      x -= (((x | (kByteOnes << 7)) - above) >> 7) & rank_lanes_[j];
+      if (j == way / 8) {
+        // The new top rank goes into the same 8-byte store: a byte store
+        // here would stall the next touch's wide load of this word.
+        const uint32_t shift = 8 * (way % 8);
+        x = (x & ~(uint64_t{0xff} << shift)) | (uint64_t{top_rank_} << shift);
+      }
+      std::memcpy(rank + 8 * j, &x, 8);
+    }
+  }
+
+  // The least recently used way: the first of rank 0 (the rank permutation
+  // invariant guarantees one).
+  uint32_t LruWay(const SetHead& h) const {
+    const uint8_t* rank = Ranks(h);
+    for (uint32_t j = 0; j < rank_words_; ++j) {
+      uint64_t x;
+      std::memcpy(&x, rank + 8 * j, 8);
+      const uint64_t zero = ~(((x & kByteLow7) + kByteLow7) | x | kByteLow7);
+      const uint64_t hit = zero & (rank_lanes_[j] << 7);
+      if (hit != 0) {
+        return 8 * j + static_cast<uint32_t>(std::countr_zero(hit)) / 8;
+      }
+    }
+    PMEMSIM_DCHECK(false);
+    return 0;
+  }
+
+  // Cold per-way times: one singly linked list per set, threaded through a
+  // shared entry pool. An entry exists exactly while its way's ready/pending
+  // bit is set and is recycled the moment the bit clears, so the pool tracks
+  // the live bits and a set's list stays short. List heads are one u32 per
+  // set in a lazily mapped array, read only when a bit is set.
+  enum ColdKind : uint32_t { kReadyAt = 0, kPendingAt = 1 };
+  struct ColdEntry {
+    Cycles at;
+    uint32_t next;  // pool index + 1 of the next entry; 0 ends the list
+    uint32_t key;   // way << 1 | kind
+  };
+  Cycles ColdTime(size_t set, uint32_t way, ColdKind kind) const {
+    const uint32_t key = way << 1 | kind;
+    for (uint32_t e = cold_head_[set]; e != 0; e = cold_pool_[e - 1].next) {
+      if (cold_pool_[e - 1].key == key) {
+        return cold_pool_[e - 1].at;
+      }
+    }
+    PMEMSIM_DCHECK(false);
+    return 0;
+  }
+  // Ways whose scheduled invalidation has taken effect at `now`: one walk
+  // of the set's list instead of one lookup per pending way.
+  uint32_t DueWays(size_t set, Cycles now) const {
+    uint32_t due = 0;
+    for (uint32_t e = cold_head_[set]; e != 0; e = cold_pool_[e - 1].next) {
+      const ColdEntry& c = cold_pool_[e - 1];
+      if ((c.key & 1) == kPendingAt && now >= c.at) {
+        due |= 1u << (c.key >> 1);
+      }
+    }
+    return due;
+  }
+  // Sets the way's ready/pending bit (already set: overwrites the time).
+  void SetColdTime(size_t set, SetHead& h, uint32_t way, ColdKind kind, Cycles at);
+  // Clears the bit and recycles its entry; returns the time it held.
+  Cycles DropColdTime(size_t set, SetHead& h, uint32_t way, ColdKind kind);
+  void DropPending(size_t set, SetHead& h, uint32_t way) {
+    if ((h.pending & (1u << way)) != 0) {
+      DropColdTime(set, h, way, kPendingAt);
+    }
+  }
+  void DropReady(size_t set, SetHead& h, uint32_t way) {
+    if ((h.ready & (1u << way)) != 0) {
+      DropColdTime(set, h, way, kReadyAt);
+    }
+  }
+  // Empties the way; its cold times go with it.
+  void DropWay(size_t set, SetHead& h, uint32_t way) {
+    h.valid &= ~(1u << way);
+    DropReady(set, h, way);
+    DropPending(set, h, way);
+  }
+  // True iff the way (valid, pending) has reached its invalidation time.
+  bool Expired(size_t set, const SetHead& h, uint32_t way, Cycles now) const {
+    return (h.pending & (1u << way)) != 0 && now >= ColdTime(set, way, kPendingAt);
+  }
+
+  static constexpr uint32_t kNoWay = 32;
+  // Returns the way holding the line or kNoWay, applying a due lazy
+  // invalidation.
+  uint32_t FindWay(size_t set, Addr line, Cycles now);
+  uint32_t FindWayConst(size_t set, Addr line, Cycles now) const;
+
+  struct Unmap {
+    size_t bytes;
+    void operator()(void* p) const;
   };
 
   CacheLevelConfig config_;
   size_t sets_;
-  size_t stride_;         // 4 * ways rounded up to whole 64 B lines
-  size_t block_words_;    // sets_ * stride_
-  uint64_t set_mask_;     // sets_ - 1 when sets_ is a power of two, else 0
-  uint64_t mod_mul_;      // ceil(2^64 / sets_) when set_mask_ == 0, else 0
-  uint32_t ways_mask_;    // low config_.ways bits set
-  std::unique_ptr<uint64_t[], Aligned64Delete> blocks_;  // set-contiguous
-  std::vector<uint32_t> valid_mask_;    // per set: bit i = way i valid
-  std::vector<uint32_t> ready_mask_;    // per set: bit i = way i has a
-                                        // nonzero fill-ready time
-  std::vector<uint32_t> pending_mask_;  // per set: bit i = way i has a
-                                        // scheduled invalidation
-  uint64_t tick_ = 0;
+  size_t stride_;        // hot block bytes per set: whole 64 B host lines
+  size_t tag_offset_;    // tags' byte offset in the block
+  uint64_t set_mask_;    // sets_ - 1 when sets_ is a power of two, else 0
+  uint64_t mod_mul_;     // ceil(2^64 / sets_) when set_mask_ == 0, else 0
+  uint32_t ways_mask_;   // low config_.ways bits set
+  uint32_t top_rank_;    // config_.ways - 1
+  uint32_t rank_words_;  // 8-byte words covering the rank bytes
+  uint64_t rank_lanes_[4] = {};
+  std::unique_ptr<uint8_t[], Unmap> blocks_;      // sets_ * stride_ bytes
+  std::unique_ptr<uint32_t[], Unmap> cold_head_;  // per set: list head
+  std::vector<ColdEntry> cold_pool_;
+  uint32_t cold_free_ = 0;  // free-entry list through ColdEntry::next
 };
 
-// Inline definitions for the four members on the per-access hot path
-// (probe, touch, fill). They are called several times per simulated load —
-// once per level — from other translation units; defining them here lets
-// those call sites fold the set-index math and mask loads together instead
-// of paying an opaque cross-TU call per level.
+// Inline definitions for the members on the per-access hot path (probe,
+// touch, fill). They are called several times per simulated load — once per
+// level — from other translation units; defining them here lets those call
+// sites fold the set-index math and mask loads together instead of paying
+// an opaque cross-TU call per level.
 
-inline size_t SetAssocCache::FindWay(Addr line_addr, Cycles now, size_t* set_out) {
-  const Addr line = CacheLineBase(line_addr);
-  const size_t set = SetIndex(line);
-  *set_out = set;
-  const size_t base = set * stride_;
-  const uint32_t pending = pending_mask_[set];
-  for (uint32_t m = valid_mask_[set]; m != 0; m &= m - 1) {
-    const uint32_t i = static_cast<uint32_t>(std::countr_zero(m));
-    if (TagMatches(Tag(base + i), line)) {
-      if ((pending & (1u << i)) != 0 && now >= PendingAt(base + i)) {
-        ClearValid(set, base + i);  // the scheduled invalidation has taken effect
-        return kNone;
+inline void SetAssocCache::SetColdTime(size_t set, SetHead& h, uint32_t way, ColdKind kind,
+                                        Cycles at) {
+  uint32_t& mask = kind == kReadyAt ? h.ready : h.pending;
+  const uint32_t key = way << 1 | kind;
+  if ((mask & (1u << way)) != 0) {
+    for (uint32_t e = cold_head_[set];; e = cold_pool_[e - 1].next) {
+      if (cold_pool_[e - 1].key == key) {
+        cold_pool_[e - 1].at = at;
+        return;
       }
-      return base + i;
     }
   }
-  return kNone;
+  mask |= 1u << way;
+  uint32_t e = cold_free_;
+  if (e != 0) {
+    cold_free_ = cold_pool_[e - 1].next;
+  } else {
+    cold_pool_.push_back({});
+    e = static_cast<uint32_t>(cold_pool_.size());
+  }
+  cold_pool_[e - 1] = {at, cold_head_[set], key};
+  cold_head_[set] = e;
 }
 
-inline size_t SetAssocCache::FindWayConst(Addr line_addr, Cycles now) const {
-  const Addr line = CacheLineBase(line_addr);
-  const size_t set = SetIndex(line);
-  const size_t base = set * stride_;
-  const uint32_t pending = pending_mask_[set];
-  for (uint32_t m = valid_mask_[set]; m != 0; m &= m - 1) {
-    const uint32_t i = static_cast<uint32_t>(std::countr_zero(m));
-    if (TagMatches(Tag(base + i), line)) {
-      if ((pending & (1u << i)) != 0 && now >= PendingAt(base + i)) {
-        return kNone;
-      }
-      return base + i;
+inline Cycles SetAssocCache::DropColdTime(size_t set, SetHead& h, uint32_t way, ColdKind kind) {
+  (kind == kReadyAt ? h.ready : h.pending) &= ~(1u << way);
+  const uint32_t key = way << 1 | kind;
+  for (uint32_t* link = &cold_head_[set]; *link != 0; link = &cold_pool_[*link - 1].next) {
+    const uint32_t e = *link;
+    if (cold_pool_[e - 1].key == key) {
+      *link = cold_pool_[e - 1].next;
+      cold_pool_[e - 1].next = cold_free_;
+      cold_free_ = e;
+      return cold_pool_[e - 1].at;
     }
   }
-  return kNone;
+  PMEMSIM_DCHECK(false);
+  return 0;
+}
+
+inline uint32_t SetAssocCache::FindWay(size_t set, Addr line, Cycles now) {
+  SetHead& h = Head(set);
+  const Addr* tags = Tags(h);
+  for (uint32_t m = h.valid; m != 0; m &= m - 1) {
+    const uint32_t i = static_cast<uint32_t>(std::countr_zero(m));
+    if (TagMatches(tags[i], line)) {
+      if (Expired(set, h, i, now)) {
+        DropWay(set, h, i);  // the scheduled invalidation has taken effect
+        return kNoWay;
+      }
+      return i;
+    }
+  }
+  return kNoWay;
+}
+
+inline uint32_t SetAssocCache::FindWayConst(size_t set, Addr line, Cycles now) const {
+  const SetHead& h = Head(set);
+  const Addr* tags = Tags(h);
+  for (uint32_t m = h.valid; m != 0; m &= m - 1) {
+    const uint32_t i = static_cast<uint32_t>(std::countr_zero(m));
+    if (TagMatches(tags[i], line)) {
+      return Expired(set, h, i, now) ? kNoWay : i;
+    }
+  }
+  return kNoWay;
 }
 
 inline bool SetAssocCache::Access(Addr line_addr, Cycles now, bool mark_dirty,
                                   bool* was_prefetched, Cycles* available_at) {
-  size_t set;
-  const size_t w = FindWay(line_addr, now, &set);
-  if (w == kNone) {
+  const Addr line = CacheLineBase(line_addr);
+  const size_t set = SetIndex(line);
+  const uint32_t i = FindWay(set, line, now);
+  if (i == kNoWay) {
     if (was_prefetched != nullptr) {
       *was_prefetched = false;
     }
     return false;
   }
-  const uint32_t bit = 1u << (w - set * stride_);
-  Lru(w) = ++tick_;
+  SetHead& h = Head(set);
+  Addr& tag = Tags(h)[i];
+  Touch(h, i);
   if (mark_dirty) {
-    Tag(w) |= kDirty;
-    // A new store supersedes any scheduled clwb invalidation.
-    pending_mask_[set] &= ~bit;
+    tag |= kDirty;
+    DropPending(set, h, i);  // a new store supersedes a scheduled clwb invalidation
   }
   if (was_prefetched != nullptr) {
-    *was_prefetched = (Tag(w) & kPrefetched) != 0;
+    *was_prefetched = (tag & kPrefetched) != 0;
+  }
+  tag &= ~kPrefetched;
+  Cycles ready = now;
+  if ((h.ready & (1u << i)) != 0) {
+    // Data is (or becomes) demand-visible now; the ready time is spent.
+    ready = std::max(ready, DropColdTime(set, h, i, kReadyAt));
   }
   if (available_at != nullptr) {
-    *available_at = (ready_mask_[set] & bit) != 0 && ReadyAt(w) > now ? ReadyAt(w) : now;
+    *available_at = ready;
   }
-  Tag(w) &= ~kPrefetched;
-  ready_mask_[set] &= ~bit;  // data is (or becomes) demand-visible now
   return true;
 }
 
 inline bool SetAssocCache::Probe(Addr line_addr, Cycles now) const {
-  return FindWayConst(line_addr, now) != kNone;
+  const Addr line = CacheLineBase(line_addr);
+  return FindWayConst(SetIndex(line), line, now) != kNoWay;
 }
 
 inline EvictedLine SetAssocCache::Insert(Addr line_addr, Cycles now, bool dirty, bool prefetched,
                                          Cycles ready_at) {
   const Addr line = CacheLineBase(line_addr);
   const size_t set = SetIndex(line);
-  const size_t base = set * stride_;
+  SetHead& h = Head(set);
+  Addr* tags = Tags(h);
 
   // Already present: refresh in place.
-  for (uint32_t m = valid_mask_[set]; m != 0; m &= m - 1) {
+  for (uint32_t m = h.valid; m != 0; m &= m - 1) {
     const uint32_t i = static_cast<uint32_t>(std::countr_zero(m));
-    Addr& t = Tag(base + i);
-    if (TagMatches(t, line)) {
-      Lru(base + i) = ++tick_;
+    if (TagMatches(tags[i], line)) {
+      Touch(h, i);
       if (dirty) {
-        t |= kDirty;
+        tags[i] |= kDirty;
       }
       if (!prefetched) {
-        t &= ~kPrefetched;
+        tags[i] &= ~kPrefetched;
       }
-      pending_mask_[set] &= ~(1u << i);
+      DropPending(set, h, i);
       return {};
     }
   }
@@ -282,41 +434,26 @@ inline EvictedLine SetAssocCache::Insert(Addr line_addr, Cycles now, bool dirty,
   // Pick the first invalid-or-expired way in way order (expired pending
   // invalidations count as invalid and are dropped, not evicted), else the
   // LRU way.
-  uint32_t free = ~valid_mask_[set] & ways_mask_;
-  for (uint32_t m = pending_mask_[set] & valid_mask_[set]; m != 0; m &= m - 1) {
-    const uint32_t i = static_cast<uint32_t>(std::countr_zero(m));
-    if (now >= PendingAt(base + i)) {
-      free |= 1u << i;
-    }
+  uint32_t free = ~h.valid & ways_mask_;
+  if (h.pending != 0) {
+    free |= DueWays(set, now);
   }
-  size_t victim;
-  if (free != 0) {
-    victim = base + static_cast<uint32_t>(std::countr_zero(free));
-    ClearValid(set, victim);
-  } else {
-    victim = base;
-    for (uint32_t i = 1; i < config_.ways; ++i) {
-      if (Lru(base + i) < Lru(victim)) {
-        victim = base + i;
-      }
-    }
-  }
-
   EvictedLine evicted;
-  if ((Tag(victim) & kValid) != 0) {
-    evicted = {Tag(victim) & kTagMask, true, (Tag(victim) & kDirty) != 0};
-  }
-  const uint32_t bit = 1u << (victim - base);
-  Tag(victim) = line | kValid | (dirty ? kDirty : 0) | (prefetched ? kPrefetched : 0);
-  valid_mask_[set] |= bit;
-  pending_mask_[set] &= ~bit;
-  if (ready_at != 0) {
-    ReadyAt(victim) = ready_at;
-    ready_mask_[set] |= bit;
+  uint32_t victim;
+  if (free != 0) {
+    victim = static_cast<uint32_t>(std::countr_zero(free));
   } else {
-    ready_mask_[set] &= ~bit;
+    victim = LruWay(h);
+    evicted = {tags[victim] & kTagMask, true, (tags[victim] & kDirty) != 0};
   }
-  Lru(victim) = ++tick_;
+  DropWay(set, h, victim);
+
+  tags[victim] = line | (dirty ? kDirty : 0) | (prefetched ? kPrefetched : 0);
+  h.valid |= 1u << victim;
+  if (ready_at != 0) {
+    SetColdTime(set, h, victim, kReadyAt, ready_at);
+  }
+  Touch(h, victim);
   return evicted;
 }
 

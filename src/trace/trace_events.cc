@@ -73,24 +73,16 @@ void TraceEmitter::Push(Event e) {
 }
 
 void TraceEmitter::Instant(int track, const std::string& name, Cycles ts) {
-  Push(Event{'i', track, name, ts});
+  Push(Event{'i', track, name, ts, false, {}, 0.0});
 }
 
 void TraceEmitter::Instant(int track, const std::string& name, Cycles ts,
                            const std::string& arg_name, double arg_value) {
-  Event e{'i', track, name, ts};
-  e.has_arg = true;
-  e.arg_name = arg_name;
-  e.arg_value = arg_value;
-  Push(std::move(e));
+  Push(Event{'i', track, name, ts, true, arg_name, arg_value});
 }
 
 void TraceEmitter::CounterEvent(int track, const std::string& name, Cycles ts, double value) {
-  Event e{'C', track, name, ts};
-  e.has_arg = true;
-  e.arg_name = "value";
-  e.arg_value = value;
-  Push(std::move(e));
+  Push(Event{'C', track, name, ts, true, "value", value});
 }
 
 size_t TraceEmitter::event_count() const {

@@ -116,6 +116,41 @@ TEST(SetAssocCacheTest, FillReadyAtDelaysAvailability) {
   EXPECT_EQ(avail, 600u);
 }
 
+// Every probe and fill reads a set's hot block, so its size is a host-speed
+// budget: a new per-way field must not silently grow it past these lines.
+TEST(SetAssocCacheTest, HotBlockFitsHostLineBudget) {
+  for (const PlatformConfig& p : {G1Platform(), G2Platform()}) {
+    SCOPED_TRACE(p.name);
+    EXPECT_LE(SetAssocCache(p.cache.l1).hot_bytes_per_set(), 128u);
+    EXPECT_LE(SetAssocCache(p.cache.l2).hot_bytes_per_set(), 192u);
+    EXPECT_LE(SetAssocCache(p.cache.l3).hot_bytes_per_set(), 128u);
+  }
+  // Whole host lines at any associativity.
+  for (const uint32_t ways : {1u, 8u, 11u, 20u, 32u}) {
+    EXPECT_EQ(SetAssocCache({64 * ways * kCacheLineSize, ways, 4}).hot_bytes_per_set() % 64, 0u);
+  }
+}
+
+TEST(SetAssocCacheTest, ClearEmptiesEveryWayAndPendingTime) {
+  SetAssocCache cache(SmallCache());
+  const uint64_t stride = cache.sets() * kCacheLineSize;
+  for (uint64_t i = 0; i < 4; ++i) {
+    cache.Insert(i * stride, i, /*dirty=*/true, false, /*ready_at=*/1000);
+  }
+  cache.WriteBack(0, /*invalidate_at=*/50, /*retain=*/false);
+  cache.Clear();
+  EXPECT_FALSE(cache.Probe(0, 0));
+  // After Clear the set fills its ways in order again with nothing to evict,
+  // and no stale ready or invalidation time resurfaces.
+  for (uint64_t i = 0; i < 4; ++i) {
+    EXPECT_FALSE(cache.Insert((i + 8) * stride, 100, false, false).valid);
+  }
+  Cycles avail = 0;
+  EXPECT_TRUE(cache.Access(8 * stride, 200, false, nullptr, &avail));
+  EXPECT_EQ(avail, 200u);
+  EXPECT_TRUE(cache.Probe(8 * stride, 10000));
+}
+
 // ---------- Hierarchy + prefetchers ----------
 
 struct HierFixture {

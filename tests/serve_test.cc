@@ -101,6 +101,14 @@ ServeConfig SmallConfig() {
   return cfg;
 }
 
+// Selects a YCSB mix by name. The name is move-assigned: gcc 12 at -O3
+// reports a false -Wrestrict overlap when a one-character literal is
+// assigned over the default name.
+void SetMix(ServeConfig& cfg, const char* name) {
+  cfg.mix = *MixByName(name);
+  cfg.mix_name = std::string(name);
+}
+
 std::string RunTierJson(const ServeConfig& cfg) {
   auto system = MakeG1System(2);
   ServiceTier tier(system.get(), cfg);
@@ -111,8 +119,7 @@ std::string RunTierJson(const ServeConfig& cfg) {
 TEST(ServiceTierTest, ClosedLoopCompletesTheOfferedBudget) {
   ServeConfig cfg = SmallConfig();
   cfg.loop = LoopMode::kClosed;
-  cfg.mix = *MixByName("a");
-  cfg.mix_name = "a";
+  SetMix(cfg, "a");
   auto system = MakeG1System(2);
   ServiceTier tier(system.get(), cfg);
   tier.Run();
@@ -128,8 +135,7 @@ TEST(ServiceTierTest, ClosedLoopCompletesTheOfferedBudget) {
 TEST(ServiceTierTest, SojournIsWaitPlusServiceExactly) {
   ServeConfig cfg = SmallConfig();
   cfg.loop = LoopMode::kClosed;
-  cfg.mix = *MixByName("f");  // rmw exercises read + write per request
-  cfg.mix_name = "f";
+  SetMix(cfg, "f");  // rmw exercises read + write per request
   auto system = MakeG1System(2);
   ServiceTier tier(system.get(), cfg);
   tier.Run();
@@ -144,8 +150,7 @@ TEST(ServiceTierTest, SojournIsWaitPlusServiceExactly) {
 TEST(ServiceTierTest, GlobalAggregatesShards) {
   ServeConfig cfg = SmallConfig();
   cfg.loop = LoopMode::kOpen;
-  cfg.mix = *MixByName("b");
-  cfg.mix_name = "b";
+  SetMix(cfg, "b");
   auto system = MakeG1System(2);
   ServiceTier tier(system.get(), cfg);
   tier.Run();
@@ -169,8 +174,7 @@ TEST(ServiceTierTest, GlobalAggregatesShards) {
 TEST(ServiceTierTest, OpenLoopTightQueueShedsDeterministically) {
   ServeConfig cfg = SmallConfig();
   cfg.loop = LoopMode::kOpen;
-  cfg.mix = *MixByName("a");
-  cfg.mix_name = "a";
+  SetMix(cfg, "a");
   cfg.queue_depth = 2;
   cfg.interarrival_cycles = 60;  // overload: arrivals outpace service
   const std::string first = RunTierJson(cfg);
@@ -190,8 +194,7 @@ TEST(ServiceTierTest, BatchSizeVariantsAllComplete) {
   for (const uint64_t batch : {uint64_t{1}, uint64_t{4}, uint64_t{32}}) {
     ServeConfig cfg = SmallConfig();
     cfg.loop = LoopMode::kClosed;
-    cfg.mix = *MixByName("c");
-    cfg.mix_name = "c";
+    SetMix(cfg, "c");
     cfg.batch = batch;
     auto system = MakeG1System(2);
     ServiceTier tier(system.get(), cfg);
@@ -203,8 +206,7 @@ TEST(ServiceTierTest, BatchSizeVariantsAllComplete) {
 TEST(ServiceTierTest, AttributionCoversTheServePhase) {
   ServeConfig cfg = SmallConfig();
   cfg.loop = LoopMode::kClosed;
-  cfg.mix = *MixByName("b");
-  cfg.mix_name = "b";
+  SetMix(cfg, "b");
   auto system = MakeG1System(2);
   ServiceTier tier(system.get(), cfg);
   tier.Run();
@@ -304,8 +306,7 @@ TEST(ServeMetricsTest, WindowedQuantilesMatchReferenceMerge) {
 TEST(ServeTimelineTest, GlobalWindowsAreTheExactShardMerge) {
   ServeConfig cfg = SmallConfig();
   cfg.loop = LoopMode::kOpen;
-  cfg.mix = *MixByName("a");
-  cfg.mix_name = "a";
+  SetMix(cfg, "a");
   ServeTimeline timeline(TimelineConfig(cfg, /*interval=*/200));
   timeline.Begin(0);
   timeline.shard(0)->RecordCompletion(150, 40);
@@ -336,8 +337,7 @@ TEST(ServeTimelineTest, GlobalWindowsAreTheExactShardMerge) {
 TEST(ServiceTierTest, SpanConservationIdentities) {
   ServeConfig cfg = SmallConfig();
   cfg.loop = LoopMode::kClosed;
-  cfg.mix = *MixByName("f");  // rmw: every request reads and writes
-  cfg.mix_name = "f";
+  SetMix(cfg, "f");  // rmw: every request reads and writes
   ServeTimeline timeline(TimelineConfig(cfg, /*interval=*/20000));
   timeline.EnableSpans();
   auto system = MakeG1System(2);
@@ -382,8 +382,7 @@ TEST(ServiceTierTest, SpanConservationIdentities) {
 TEST(ServiceTierTest, TimelineMatchesWholeRunTotals) {
   ServeConfig cfg = SmallConfig();
   cfg.loop = LoopMode::kOpen;
-  cfg.mix = *MixByName("a");
-  cfg.mix_name = "a";
+  SetMix(cfg, "a");
   cfg.queue_depth = 2;
   cfg.interarrival_cycles = 60;  // overload: force sheds into the timeline
   ServeTimeline timeline(TimelineConfig(cfg, /*interval=*/10000, /*slo_p99=*/1));
@@ -435,8 +434,7 @@ TEST(ServeTimelineTest, FlushTruncatedYieldsWellFormedTimeline) {
   // The unwind-flush path: a sweep point dying mid-serve must still leave a
   // contiguous, parseable timeline ending at the last observed event.
   ServeConfig cfg = SmallConfig();
-  cfg.mix = *MixByName("a");
-  cfg.mix_name = "a";
+  SetMix(cfg, "a");
   cfg.loop = LoopMode::kOpen;
   ServeTimeline timeline(TimelineConfig(cfg, /*interval=*/100));
   timeline.Begin(1000);

@@ -45,20 +45,28 @@ struct SweepResult {
   int rc;
 };
 
+// "p<i>", built by appending: gcc 12 at -O3 reports a false -Wrestrict
+// overlap for `"p" + std::to_string(i)`.
+std::string PointLabel(int i) {
+  std::string label = "p";
+  label += std::to_string(i);
+  return label;
+}
+
 SweepResult RunStaggeredSweep(uint32_t jobs, const std::string& stats_path) {
   const Flags flags =
       MakeFlags({"--jobs=" + std::to_string(jobs), "--stats_json=" + stats_path});
   BenchReport report(flags, "sweep_runner_test");
   SweepRunner runner(flags);
   for (int i = 0; i < 12; ++i) {
-    runner.Add("p" + std::to_string(i), [i](SweepPoint& point) {
+    runner.Add(PointLabel(i), [i](SweepPoint& point) {
       // Later points finish first: descending busy-work per index.
       volatile uint64_t sink = 0;
       for (uint64_t k = 0; k < (12u - static_cast<uint64_t>(i)) * 20000u; ++k) {
         sink = sink + k;
       }
       point.Printf("point,%d,%llu\n", i, static_cast<unsigned long long>(sink % 7));
-      point.AddRow().Set("index", i).Set("label", "p" + std::to_string(i));
+      point.AddRow().Set("index", i).Set("label", PointLabel(i));
     });
   }
   testing::internal::CaptureStdout();

@@ -1,6 +1,7 @@
 #include "src/cpu/thread_context.h"
 
 #include <algorithm>
+#include <utility>
 
 #include "src/common/check.h"
 #include "src/trace/recorder.h"
@@ -137,12 +138,31 @@ uint64_t ThreadContext::LoadInternal(Addr addr, bool train) {
 void ThreadContext::LoadMulti(const Addr* addrs, size_t count) {
   const Cycles start = clock_;
   Cycles latest = start;
+  // Each load records its own stages; all but the group's slowest load are
+  // hidden under it, and the collector is told so (critical_stage_total).
+  AttributionCollector::StageDurations slowest, overlapped, delta;
   for (size_t i = 0; i < count; ++i) {
     clock_ = start;
+    if (attribution_ != nullptr) {
+      for (int s = 0; s < AttributionCollector::kStageCount; ++s) {
+        delta.v[s] = attribution_->stage_total(static_cast<AttributionCollector::Stage>(s));
+      }
+    }
     (void)LoadInternal(addrs[i], /*train=*/true);
+    if (attribution_ != nullptr) {
+      const bool slowest_so_far = i == 0 || clock_ > latest;
+      for (int s = 0; s < AttributionCollector::kStageCount; ++s) {
+        delta.v[s] =
+            attribution_->stage_total(static_cast<AttributionCollector::Stage>(s)) - delta.v[s];
+        overlapped.v[s] += slowest_so_far ? std::exchange(slowest.v[s], delta.v[s]) : delta.v[s];
+      }
+    }
     latest = std::max(latest, clock_);
   }
   clock_ = latest;
+  if (attribution_ != nullptr) {
+    attribution_->RecordOverlapped(overlapped);
+  }
   if (recorder_ != nullptr) {
     recorder_->RecordMulti(trace_tid_, addrs, count, clock_);
   }

@@ -82,6 +82,12 @@ void AttributionCollector::RecordAsyncAccept(Cycles delay) {
   async_accept_hist_.Add(delay);
 }
 
+void AttributionCollector::RecordOverlapped(const StageDurations& stages) {
+  for (int s = 0; s < kStageCount; ++s) {
+    overlapped_total_[s] += stages.v[s];
+  }
+}
+
 uint64_t AttributionCollector::StageTotalSum() const {
   uint64_t sum = 0;
   for (int s = 0; s < kStageCount; ++s) {

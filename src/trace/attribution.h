@@ -87,6 +87,17 @@ class AttributionCollector {
   uint64_t access_count() const { return access_count_; }
   uint64_t end_to_end_total() const { return end_to_end_total_; }
   uint64_t stage_total(Stage stage) const { return stage_total_[stage]; }
+  // Marks stage time already recorded as overlapped: the loads of one
+  // ThreadContext::LoadMulti group other than its slowest, which runs in
+  // parallel with them. The totals above keep counting every load; this
+  // side total appears in no report.
+  void RecordOverlapped(const StageDurations& stages);
+  // Stage total on the critical path: stage_total() minus the overlapped
+  // loads. Per-request spans decompose service time with these, so a
+  // parallel load group is charged once, as its slowest load.
+  uint64_t critical_stage_total(Stage stage) const {
+    return stage_total_[stage] - overlapped_total_[stage];
+  }
   uint64_t StageTotalSum() const;
   const Histogram& op_hist(Op op) const { return op_hist_[op]; }
   const Histogram& stage_hist(Stage stage) const { return stage_hist_[stage]; }
@@ -112,6 +123,7 @@ class AttributionCollector {
   Histogram stage_hist_[kStageCount];
   Histogram async_accept_hist_;
   uint64_t stage_total_[kStageCount] = {};
+  uint64_t overlapped_total_[kStageCount] = {};
   uint64_t end_to_end_total_ = 0;
   uint64_t access_count_ = 0;
 };

@@ -1,215 +1,21 @@
-// DomainTier: the shard-parallel (partitioned) serving engine.
-//
-// The legacy ServiceTier interleaves all N shards x M workers on ONE shared
-// System through one lockstep heap — a single host thread per sweep point.
-// DomainTier instead partitions the deployment into N independent *domains*:
-// each shard owns its own System (DIMMs, iMC, caches, counter registry),
-// store, bounded admission queue, stats, attribution collector, and worker
-// ThreadContexts, and shares nothing with its peers. The only cross-domain
-// interaction is the client tier (TierDispatcher) routing requests to shards
-// by key hash with a modelled dispatch latency of D = cfg.dispatch_latency
-// cycles.
-//
-// Conservative epoch execution (D > 0):
-//   Because every cross-domain message issued at time t arrives at t + D at
-//   the earliest, a domain advancing inside the window [E, E + D) can never
-//   receive an arrival it has not already been handed: all deliveries due
-//   before E + D are staged at the preceding barrier. So the engine runs
-//
-//     loop:  deliver arrivals < epoch_end       (coordinator)
-//            every domain: RunUntil(epoch_end)  (cfg.engine_threads host
-//                                                threads, no shared state)
-//            barrier: fold domain events sorted by (time, client),
-//                     issue closed-loop re-dispatches  (coordinator)
-//
-//   Within a domain the scheduler preserves the exact (clock, job-index)
-//   lockstep order; across domains nothing is shared; and every coordinator
-//   fold happens in a deterministic sorted order. Results are therefore
-//   byte-identical at any --engine_threads — that is the determinism
-//   contract, gated in CI exactly like --jobs.
-//
-// Zero lookahead (D == 0) removes the conservative window, so the engine
-// falls back to one combined sequential Scheduler::Run over all domains'
-// workers (engine_threads is ignored): the lockstep global clock order plays
-// the coordinator, and the dispatcher is pumped synchronously at admission
-// time.
-//
-// Stats merge is order-independent: every per-domain counter is an integer
-// sum or a histogram bucket count, merged by addition on the coordinator in
-// fixed domain-index order (see DESIGN.md §11).
+// DomainTier: the serving engine's partitioned layout. Each shard owns its
+// own System (DIMMs, iMC, caches, counter registry) and shares nothing with
+// its peers; the client tier (TierDispatcher, src/serve/dispatch.h) routes
+// requests to shards by key hash with a modelled dispatch latency D. With
+// D > 0 the shards advance in conservative epochs of width D on
+// cfg.engine_threads host threads; with D = 0 they run lockstep in one
+// scheduler. src/serve/tier.h describes both layouts and run strategies.
 
 #ifndef SRC_SERVE_DOMAIN_TIER_H_
 #define SRC_SERVE_DOMAIN_TIER_H_
 
-#include <cstdint>
-#include <functional>
-#include <memory>
-#include <optional>
-#include <queue>
-#include <string>
-#include <vector>
-
-#include "src/common/config.h"
-#include "src/core/system.h"
-#include "src/cpu/scheduler.h"
-#include "src/cpu/thread_context.h"
 #include "src/serve/dispatch.h"
-#include "src/serve/request_queue.h"
-#include "src/serve/service_stats.h"
-#include "src/serve/shard.h"
-#include "src/trace/attribution.h"
+#include "src/serve/tier.h"
 
 namespace pmemsim {
 
-class JsonWriter;
-
-// One isolated shard domain: its own simulated machine plus the serving state
-// of exactly one shard. All methods are called either from the coordinator
-// between epochs or from the single host thread advancing this domain inside
-// an epoch — never concurrently.
-class ServeDomain {
- public:
-  // `load_keys` is this domain's slice of the global preload key space
-  // (TierDispatcher::PartitionLoadKeys); `append_budget` sizes append-only
-  // stores for the tier-wide op budget (any op can route anywhere).
-  ServeDomain(const PlatformConfig& platform, uint32_t dimms, const ServeConfig& cfg,
-              uint32_t index, std::vector<uint64_t> load_keys, uint64_t append_budget);
-
-  // Preloads the owned keys on the first worker (domains load in parallel —
-  // each on its own System, there is nothing to contend on).
-  void RunLoad();
-  Cycles load_end() const { return load_end_; }
-
-  // Aligns workers to the common serve origin t0, installs attribution,
-  // opens the queue's serve accounting phase, and prepares the engine:
-  // epoch mode (eager_dispatcher == nullptr) builds this domain's own
-  // Scheduler; eager mode records the dispatcher to pump synchronously and
-  // the tier-wide quiescence predicate that retires idle workers.
-  void BeginServe(Cycles t0, TierDispatcher* eager_dispatcher, std::function<bool()> all_quiet);
-
-  // Installs (or clears) the domain's observability sinks — same contract as
-  // Shard::SetObservability. Install before BeginServe (which emits the
-  // opening queue-depth observation). The domain drives the metrics'
-  // mem-sampler from its private scheduler (epoch mode) or from its worker
-  // steps (eager mode), so the memory-plane series stays per-domain.
-  void SetObservability(ServeMetrics* metrics, SpanRecorder* spans);
-
-  // Delivery sink for the dispatcher (arrival times may be far future; the
-  // domain admits them when its clock gets there).
-  void Accept(const Request& r);
-
-  // Epoch mode: advances this domain's workers until every one is parked at
-  // clock >= epoch_end. Runs on one host thread; touches only domain state.
-  void RunEpoch(Cycles epoch_end);
-
-  // The epoch's cross-domain event log (closed loop), drained at the barrier.
-  std::vector<DomainEvent>& events() { return events_; }
-
-  // Eager mode: appends one SimJob per worker for the combined lockstep run.
-  void AppendEagerJobs(std::vector<SimJob>* out);
-
-  // No pending arrival, empty queue, nothing in flight.
-  bool Drained() const;
-
-  // Clears attribution hooks and copies queue counters into stats().
-  void FinalizeServe();
-
-  uint32_t index() const { return index_; }
-  System& system() { return system_; }
-  const RequestQueue& queue() const { return queue_; }
-  const ServiceStats& stats() const { return stats_; }
-  AttributionCollector& attribution() { return attribution_; }
-
- private:
-  struct Worker {
-    ThreadContext* ctx = nullptr;
-    std::vector<Request> claimed;
-    size_t next = 0;
-  };
-  struct ArrivalOrder {
-    bool operator()(const Request& a, const Request& b) const {
-      return a.arrival != b.arrival ? a.arrival > b.arrival : a.client > b.client;
-    }
-  };
-
-  StepResult WorkerStep(Worker& wk);
-  void CatchUpAdmissions(Cycles now);
-  void Execute(ThreadContext& ctx, const Request& r);
-  void CompleteRequest(const Request& r, Cycles start, Cycles end);
-  void Scan(ThreadContext& ctx, uint64_t from, uint32_t len);
-  std::optional<Cycles> NextArrivalTime() const;
-
-  const ServeConfig& cfg_;
-  uint32_t index_;
-  System system_;
-  RequestQueue queue_;
-  ServiceStats stats_;
-  AttributionCollector attribution_;
-  ServeMetrics* metrics_ = nullptr;        // not owned; null = observability off
-  SpanRecorder* span_recorder_ = nullptr;  // not owned
-  Cycles span_stage_base_[AttributionCollector::kStageCount] = {};
-  std::vector<Worker> workers_;
-  std::unique_ptr<ShardStore> store_;
-  std::vector<uint64_t> load_keys_;
-  std::vector<uint64_t> owned_sorted_;  // hash-store scan emulation order
-
-  std::priority_queue<Request, std::vector<Request>, ArrivalOrder> pending_;
-  std::vector<DomainEvent> events_;
-  std::vector<SimJob> jobs_;
-  std::unique_ptr<Scheduler> engine_;
-  TierDispatcher* eager_dispatcher_ = nullptr;  // non-null <=> eager mode
-  std::function<bool()> all_quiet_;
-  Cycles load_end_ = 0;
-  Cycles epoch_end_ = 0;
-  uint64_t in_flight_ = 0;
-};
-
-class DomainTier {
- public:
-  // One System per shard domain, each with `dimms_per_domain` Optane DIMMs.
-  DomainTier(const PlatformConfig& platform, uint32_t dimms_per_domain, const ServeConfig& cfg);
-
-  // Attaches (before Run) the serve-phase observability sink: per-domain
-  // windowed metrics + spans and a per-domain memory-plane sampler over each
-  // domain's private System (the global timeline view is the field-wise sum).
-  // Timeline Begin/Finalize happen on the coordinator at serve_start_ and the
-  // engine's final cycle. Pass nullptr (default) for zero-cost serving.
-  void AttachTimeline(ServeTimeline* timeline) { timeline_ = timeline; }
-
-  // Load (parallel across domains) then serve to completion. One-shot.
-  void Run();
-
-  Cycles load_end() const { return load_end_; }
-  Cycles serve_start() const { return serve_start_; }
-  Cycles end_cycle() const;
-
-  const ServeConfig& config() const { return cfg_; }
-  const std::vector<std::unique_ptr<ServeDomain>>& domains() const { return domains_; }
-  ServiceStats GlobalStats() const;  // merged in domain-index order
-
-  // Same shape as ServiceTier::ToJson (scripts/check_serve.py schema), plus
-  // config.engine = "partitioned" and config.dispatch_latency. Deliberately
-  // excludes engine_threads: the report must byte-compare across thread
-  // counts.
-  void ToJson(JsonWriter& w) const;
-  std::string ToJson() const;
-
- private:
-  void RunEpochLoop();
-  void RunEager();
-  void BeginTimeline();
-  bool AllDrained() const;
-
-  PlatformConfig platform_;
-  ServeConfig cfg_;
-  TierDispatcher dispatcher_;
-  std::vector<std::unique_ptr<ServeDomain>> domains_;
-  ServeTimeline* timeline_ = nullptr;  // not owned
-  Cycles load_end_ = 0;
-  Cycles serve_start_ = 0;
-  Cycles serve_end_ = 0;
-  bool ran_ = false;
-};
+// Construct as DomainTier(platform, dimms_per_shard, cfg).
+using DomainTier = ServeEngine;
 
 }  // namespace pmemsim
 

@@ -213,7 +213,7 @@ void ServeTimeline::MergeGlobal() {
       }
     }
   }
-  // Legacy engine: one shared System, one global sampler.
+  // Shared layout: one shared System, one global sampler.
   if (global_sampler_) {
     global_sampler_->Finalize(std::max(end_, origin_));
     for (const Sample& s : global_sampler_->samples()) {

@@ -141,7 +141,7 @@ class ServeTimeline {
     std::string mix;
     std::string loop;
     std::string store;
-    // "interleaved" (legacy shared-System tier) or "partitioned" (DomainTier).
+    // "interleaved" (shared layout) or "partitioned" (DomainTier).
     // Deliberately no engine_threads anywhere in the artifact: the timeline
     // must byte-compare across host thread counts.
     std::string engine;
@@ -171,8 +171,8 @@ class ServeTimeline {
   // Opens every shard series at the serve-phase origin.
   void Begin(Cycles origin);
 
-  // Legacy engine: one memory-plane series over the shared System (the
-  // partitioned engine attaches per-shard samplers instead). Call after
+  // Shared layout: one memory-plane series over the shared System (the
+  // partitioned layout attaches per-shard samplers instead). Call after
   // Begin.
   Sampler* AttachGlobalMemSampler(const Counters* counters, Sampler::GaugeFn gauges);
   Sampler* global_mem_sampler() { return global_sampler_.get(); }

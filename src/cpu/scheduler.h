@@ -16,7 +16,7 @@
 // computed once per batch rather than once per step (see DESIGN.md §9).
 //
 // The engine also exists in instantiable form for the partitioned serving
-// engine (DESIGN.md §11): a Scheduler object keeps its heap across calls, and
+// engine (DESIGN.md §10): a Scheduler object keeps its heap across calls, and
 // RunUntil(limit) advances jobs only while the minimum clock is below `limit`
 // — one conservative epoch window. Within a window the step order is exactly
 // Run()'s (clock, job-index) order, and a job left at clock >= limit resumes

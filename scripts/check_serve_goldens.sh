@@ -7,9 +7,9 @@
 # Covers each engine mode -- the shared-System engine ("interleaved"), the
 # partitioned epoch loop ("et1") and its zero-lookahead fallback ("et1_d0") --
 # x each store for the --stats_json report, plus one CCEH --timeline_json and
-# one CCEH --spans_json point per mode. Mix E drives both hash-store scan
-# emulations and inserts. Every run is deterministic, so any byte of drift is
-# a change to the simulated model or to a report format.
+# one CCEH --spans_json / --span_trace point per mode. Mix E drives both
+# hash-store scan emulations and inserts. Every run is deterministic, so any
+# byte of drift is a change to the simulated model or to a report format.
 set -euo pipefail
 
 if [[ $# -lt 1 ]]; then
@@ -36,7 +36,7 @@ for mode in interleaved et1 et1_d0; do
   "$serve" --store=cceh --mixes=a,e --loop=both --ops=200 "${common[@]}" "${engine[@]}" \
     --sample_interval_cycles=200000 --timeline_json="$out/${mode}_timeline.json" > /dev/null
   "$serve" --store=cceh --mixes=e --loop=closed --ops=200 "${common[@]}" "${engine[@]}" \
-    --spans_json="$out/${mode}_spans.json" > /dev/null
+    --spans_json="$out/${mode}_spans.json" --span_trace="$out/${mode}_span_trace.json" > /dev/null
 done
 
 if [[ $update == --update ]]; then

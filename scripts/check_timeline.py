@@ -26,7 +26,13 @@ Checks performed, per point:
      null quantiles exactly when a window has no completions;
   5. SLO consistency (when present): violations == count of windows with
      slo_violation, burn_rate == violations / windows_with_traffic;
-  6. truncated must be false unless --allow-truncated.
+  6. truncated must be false unless --allow-truncated;
+  7. memory-plane join: every global window carries "mem"; in an
+     "interleaved" point (one shared System) no shard window does, and in a
+     "partitioned" point (one System per shard) every shard window does and
+     each integer "mem" field of a global window equals the sum over its
+     shards. A truncated point may lack series it never attached, so only
+     the sum is checked there.
 
 Usage:
     check_timeline.py --timeline /tmp/serve_timeline.json \
@@ -62,6 +68,16 @@ REQUIRED_WINDOW_KEYS = (
     "sojourn_p999",
 )
 MERGED_COUNT_KEYS = ("completed", "admitted", "shed", "queue_depth")
+MEM_INT_KEYS = (
+    "imc_read_bytes",
+    "imc_write_bytes",
+    "media_read_bytes",
+    "media_write_bytes",
+    "wpq_stall_cycles",
+    "read_buffer_entries",
+    "write_buffer_entries",
+    "serve_queue_depth",
+)
 
 
 def fail(msg):
@@ -119,6 +135,36 @@ def check_series(label, windows, serve_start, end, interval):
         fail(f"{label}: last window ends at {windows[-1]['t_end']}, not end {end}")
 
 
+def check_mem_join(label, engine, g, shards, truncated):
+    """The memory-plane join: which series carry "mem", and the global sum."""
+    if engine not in ("interleaved", "partitioned"):
+        fail(f"{label}: unknown engine {engine!r}")
+    partitioned = engine == "partitioned"
+    if not truncated:
+        for i, win in enumerate(g):
+            if "mem" not in win:
+                fail(f"{label} global window {i}: no memory-plane series joined")
+        for s in shards:
+            for i, w in enumerate(s["windows"]):
+                if ("mem" in w) != partitioned:
+                    fail(
+                        f"{label} shard {s['shard']} window {i}: per-shard mem must "
+                        f"appear exactly in a partitioned point ({engine})"
+                    )
+    if not partitioned:
+        return
+    for i, win in enumerate(g):
+        if "mem" not in win:
+            continue
+        for key in MEM_INT_KEYS:
+            total = sum(s["windows"][i].get("mem", {}).get(key, 0) for s in shards)
+            if win["mem"][key] != total:
+                fail(
+                    f"{label} window {i}: global mem.{key} {win['mem'][key]} != sum "
+                    f"over shards {total}"
+                )
+
+
 def check_point(idx, point, allow_truncated):
     for key in REQUIRED_POINT_KEYS:
         if key not in point:
@@ -155,6 +201,8 @@ def check_point(idx, point, allow_truncated):
                 fail(
                     f"{label} window {i}: global {key} {win[key]} != sum over shards {total}"
                 )
+
+    check_mem_join(label, cfg["engine"], g, shards, point["truncated"])
 
     # Whole-run conservation: totals are the column sums of the global series.
     totals = point["totals"]
@@ -233,7 +281,10 @@ def main():
             )
         checked += 1
 
-    print(f"{checked} timeline point(s): contiguity, conservation, and merge identities hold")
+    print(
+        f"{checked} timeline point(s): contiguity, conservation, merge and memory-plane "
+        "join identities hold"
+    )
     return 0
 
 

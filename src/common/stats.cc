@@ -48,7 +48,13 @@ std::string RunningStat::ToJson() const {
   return w.str();
 }
 
-Histogram::Histogram() : buckets_(static_cast<size_t>(kOctaves) * kSubBuckets, 0) {}
+Histogram::Histogram() = default;
+
+void Histogram::AllocateBuckets() {
+  if (buckets_.empty()) {
+    buckets_.assign(static_cast<size_t>(kOctaves) * kSubBuckets, 0);
+  }
+}
 
 int Histogram::BucketFor(uint64_t value) {
   if (value < kSubBuckets) {
@@ -82,6 +88,7 @@ void Histogram::Add(uint64_t value) {
   }
   ++count_;
   sum_ += static_cast<double>(value);
+  AllocateBuckets();
   ++buckets_[static_cast<size_t>(BucketFor(value))];
 }
 
@@ -98,6 +105,7 @@ void Histogram::Merge(const Histogram& other) {
   }
   count_ += other.count_;
   sum_ += other.sum_;
+  AllocateBuckets();
   for (size_t i = 0; i < buckets_.size(); ++i) {
     buckets_[i] += other.buckets_[i];
   }

@@ -41,7 +41,8 @@ class RunningStat {
 
 // Log-bucketed latency histogram (power-of-two buckets with linear sub-buckets)
 // supporting approximate percentiles. Good enough for cycle latencies spanning
-// 1..10^7.
+// 1..10^7. The buckets are allocated on the first sample, so an empty
+// histogram (an idle telemetry window) costs no heap.
 class Histogram {
  public:
   Histogram();
@@ -82,8 +83,9 @@ class Histogram {
 
   static int BucketFor(uint64_t value);
   static uint64_t BucketMidpoint(int bucket);
+  void AllocateBuckets();
 
-  std::vector<uint64_t> buckets_;
+  std::vector<uint64_t> buckets_;  // empty until the first sample
   uint64_t count_ = 0;
   uint64_t min_ = 0;
   uint64_t max_ = 0;

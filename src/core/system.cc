@@ -91,9 +91,6 @@ SampleGauges System::ReadGauges(Cycles now) {
     g.read_buffer_entries += mc_->optane_dimm(i).read_buffer().occupied_entries();
     g.write_buffer_entries += mc_->optane_dimm(i).write_buffer().occupied_entries();
   }
-  if (extra_gauges_) {
-    extra_gauges_(now, &g);
-  }
   return g;
 }
 

@@ -8,9 +8,7 @@
 #define SRC_CORE_SYSTEM_H_
 
 #include <deque>
-#include <functional>
 #include <memory>
-#include <utility>
 
 #include "src/cache/cache.h"
 #include "src/common/backing_store.h"
@@ -88,15 +86,10 @@ class System {
   void SetTraceRecorder(TraceRecorder* recorder);
 
   // Instantaneous occupancy across the machine's Optane DIMMs and WPQs — the
-  // gauge source for interval sampling (Sampler::SetGaugeSource).
+  // gauge source for interval sampling (Sampler::SetGaugeSource). Fills no
+  // serve_queue_depth: the serving engine adds its queues' occupancy in its
+  // own gauge function.
   SampleGauges ReadGauges(Cycles now);
-
-  // Installs (or clears, with an empty function) an additional gauge filler
-  // consulted by ReadGauges after the DIMM sweep. Higher layers (the serving
-  // tier's request queues) use it to surface their occupancy through the same
-  // sampling path without the core layer depending on them.
-  using ExtraGaugeFn = std::function<void(Cycles now, SampleGauges* g)>;
-  void SetExtraGaugeSource(ExtraGaugeFn fn) { extra_gauges_ = std::move(fn); }
 
  private:
   PlatformConfig config_;
@@ -106,7 +99,6 @@ class System {
   std::unique_ptr<MemoryController> mc_;
   std::unique_ptr<SetAssocCache> l3_;
   std::deque<std::unique_ptr<ThreadContext>> threads_;
-  ExtraGaugeFn extra_gauges_;
 
   Addr pm_next_ = kPageSize;
   Addr dram_next_ = kDramAddressBase;

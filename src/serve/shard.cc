@@ -325,9 +325,10 @@ SimJob Shard::LoadJob() {
   return job;
 }
 
-void Shard::SetObservability(ServeMetrics* metrics, SpanRecorder* spans) {
+void Shard::SetObservability(ServeMetrics* metrics, SpanRecorder* spans, Sampler* mem_sampler) {
   metrics_ = metrics;
   span_recorder_ = spans;
+  mem_sampler_ = mem_sampler;
 }
 
 void Shard::StartServing(Cycles t0, std::function<bool()> quiet) {
@@ -361,7 +362,7 @@ void Shard::RunEpoch(Cycles epoch_end) {
   // The private scheduler drives the shard's own memory-plane sampler: the
   // series observes this shard's minimum worker clock, exactly as a lockstep
   // run's sampler observes the global minimum.
-  epoch_scheduler_->RunUntil(epoch_end, metrics_ != nullptr ? metrics_->mem_sampler() : nullptr);
+  epoch_scheduler_->RunUntil(epoch_end, mem_sampler_);
 }
 
 void Shard::FinishServing() {
@@ -387,11 +388,11 @@ StepResult Shard::WorkerStep(Worker& wk) {
     wk.next = 0;
     const Cycles now = ctx.clock();
     const bool lockstep = quiet_ != nullptr;
-    if (lockstep && metrics_ != nullptr && metrics_->mem_sampler() != nullptr) {
+    if (lockstep && mem_sampler_ != nullptr) {
       // A shard with its own memory-plane series but no private scheduler
       // (partitioned layout at zero lookahead): this step's clock is the
       // lockstep minimum, a valid non-decreasing observation.
-      metrics_->mem_sampler()->AdvanceTo(now);
+      mem_sampler_->AdvanceTo(now);
     }
     // This step begins at the minimal clock of every worker that can feed
     // this shard (lockstep invariant, or the epoch window's), so folding

@@ -261,8 +261,10 @@ class Shard {
   // Installs (or clears, with nullptrs) the observability sinks for the serve
   // phase. Pay-for-use: with none installed, the hot path costs one pointer
   // test per event. Install before StartServing (which emits the opening
-  // queue-depth observation); either pointer may be null independently.
-  void SetObservability(ServeMetrics* metrics, SpanRecorder* spans);
+  // queue-depth observation); any pointer may be null independently.
+  // `mem_sampler` is the shard's own System's series (partitioned layout),
+  // observed in RunEpoch or at each lockstep claim step.
+  void SetObservability(ServeMetrics* metrics, SpanRecorder* spans, Sampler* mem_sampler);
 
   // Aligns the workers to the common serve origin t0, installs attribution,
   // opens the queue's accounting phase and starts the source. With a `quiet`
@@ -319,6 +321,7 @@ class Shard {
   AttributionCollector attribution_;
   ServeMetrics* metrics_ = nullptr;        // not owned; null = observability off
   SpanRecorder* span_recorder_ = nullptr;  // not owned
+  Sampler* mem_sampler_ = nullptr;         // not owned
   Cycles span_stage_base_[AttributionCollector::kStageCount] = {};
 
   ShardStore store_;

@@ -69,11 +69,11 @@ class ServeEngine {
   ServeEngine& operator=(const ServeEngine&) = delete;
 
   // Attaches (before Run) the serve-phase observability sink: per-shard
-  // windowed metrics + spans, memory-plane sampling (one series over the
-  // shared System, or one per shard's System whose field-wise sum is the
-  // global view), and the serve-queue-depth gauge on System::ReadGauges. The
-  // engine Begins the timeline at serve_start() and Finalizes it at the
-  // serve end. Pass nullptr (default) for zero-cost serving.
+  // windowed metrics + spans, and one memory-plane series per System (the
+  // shared one, or each shard's own) whose gauges add the queue depth of the
+  // shards on that System. The engine Begins the timeline at serve_start()
+  // and Finalizes it at the serve end. Pass nullptr (default) for zero-cost
+  // serving.
   void AttachTimeline(ServeTimeline* timeline) { timeline_ = timeline; }
 
   // Runs load then serve to completion. One-shot.

@@ -1,33 +1,30 @@
 #include "src/trace/sampler.h"
 
+#include <algorithm>
+
 #include "src/common/check.h"
 #include "src/trace/json.h"
 
 namespace pmemsim {
 
+uint64_t IntervalGrid::IndexOf(Cycles t) const {
+  const uint64_t k = (t - origin) / interval;
+  PMEMSIM_CHECK_MSG(k < kMaxIntervals,
+                    "series passes the window cap (IntervalGrid::kMaxIntervals "
+                    "intervals); raise --sample_interval_cycles");
+  return k;
+}
+
 Sampler::Sampler(const Counters* counters, Cycles interval_cycles, Cycles origin)
-    : counters_(counters), interval_(interval_cycles), delta_(counters) {
+    : grid_{origin, interval_cycles}, next_boundary_(origin + interval_cycles), delta_(counters) {
   PMEMSIM_CHECK(counters != nullptr);
   PMEMSIM_CHECK_MSG(interval_cycles > 0, "sample interval must be positive");
-  last_boundary_ = origin;
-  next_boundary_ = origin + interval_;
 }
 
 void Sampler::Emit(Cycles t_end, bool partial) {
-  if (samples_.size() >= kMaxSamples) {
-    ++dropped_;
-    // The delta still rebases so later samples (if the cap is ever raised)
-    // and SumOfDeltas stay consistent with what was kept: dropped intervals
-    // are simply missing from the partition, which the owner can detect via
-    // dropped_samples().
-    delta_.Rebase();
-    last_boundary_ = t_end;
-    ++index_;
-    return;
-  }
   Sample s;
-  s.index = index_++;
-  s.t_begin = last_boundary_;
+  s.index = index_;
+  s.t_begin = grid_.Begin(index_);
   s.t_end = t_end;
   s.partial = partial;
   s.delta = delta_.Delta();
@@ -39,13 +36,19 @@ void Sampler::Emit(Cycles t_end, bool partial) {
   if (on_sample_) {
     on_sample_(samples_.back());
   }
-  last_boundary_ = t_end;
+  ++index_;
+  next_boundary_ = grid_.Begin(index_ + 1);
 }
 
 void Sampler::AdvanceTo(Cycles now) {
-  while (now >= next_boundary_) {
+  if (now < next_boundary_) {
+    return;
+  }
+  // Every interval before the one holding `now` closes; IndexOf refuses a
+  // clock past the window cap before any of them is emitted.
+  const uint64_t open = grid_.IndexOf(now);
+  while (index_ < open) {
     Emit(next_boundary_, /*partial=*/false);
-    next_boundary_ += interval_;
   }
 }
 
@@ -54,10 +57,11 @@ void Sampler::Finalize(Cycles end) {
   AdvanceTo(end);
   // Close the open interval if it holds any time or residual counter deltas
   // (events can land after the last AdvanceTo observation).
+  const Cycles open_begin = grid_.Begin(index_);
   const Counters residual = delta_.Delta();
   const Counters zero;
-  if (end > last_boundary_ || residual != zero) {
-    Emit(end > last_boundary_ ? end : last_boundary_, /*partial=*/true);
+  if (end > open_begin || residual != zero) {
+    Emit(std::max(end, open_begin), /*partial=*/true);
   }
   finalized_ = true;
 }

@@ -20,8 +20,8 @@
 // minimum job clock before every step, so boundaries are observed in
 // simulated-time order regardless of thread interleaving; single-threaded
 // loops may call AdvanceTo directly. Idle intervals emit zero-delta samples
-// (ipmwatch prints idle seconds too); a run crossing more than kMaxSamples
-// boundaries drops the excess and counts them in dropped_samples().
+// (ipmwatch prints idle seconds too). Boundaries and the window cap are the
+// IntervalGrid's below.
 
 #ifndef SRC_TRACE_SAMPLER_H_
 #define SRC_TRACE_SAMPLER_H_
@@ -46,6 +46,34 @@ struct SampleGauges {
   uint64_t read_buffer_entries = 0; // occupied on-DIMM read-buffer slots
   uint64_t write_buffer_entries = 0;// occupied on-DIMM write-buffer entries
   uint64_t serve_queue_depth = 0;   // serving-tier request-queue occupancy
+
+  SampleGauges& operator+=(const SampleGauges& o) {  // field-wise
+    wpq_occupancy += o.wpq_occupancy;
+    read_buffer_entries += o.read_buffer_entries;
+    write_buffer_entries += o.write_buffer_entries;
+    serve_queue_depth += o.serve_queue_depth;
+    return *this;
+  }
+};
+
+// The interval grid of every windowed series (Sampler samples, ServeMetrics
+// windows), so series on one origin and interval align index for index.
+// Interval k covers [origin + k*interval, origin + (k+1)*interval); a series
+// closing at `end` cuts its open interval short there.
+struct IntervalGrid {
+  // The window cap, bounding a series' memory whatever the run or interval.
+  static constexpr uint64_t kMaxIntervals = uint64_t{1} << 15;
+
+  // Index of the interval holding `t` (>= origin). Past the cap it fails a
+  // CHECK naming --sample_interval_cycles, before the series grows.
+  uint64_t IndexOf(Cycles t) const;
+  // Intervals tiling [origin, end]; at least one (a zero-width closing
+  // interval at the origin). Checks the cap.
+  uint64_t CountTo(Cycles end) const { return end > origin ? IndexOf(end - 1) + 1 : 1; }
+  Cycles Begin(uint64_t k) const { return origin + k * interval; }
+
+  Cycles origin = 0;
+  Cycles interval = 1;
 };
 
 struct Sample {
@@ -86,8 +114,7 @@ class Sampler {
   void Finalize(Cycles end);
 
   const std::vector<Sample>& samples() const { return samples_; }
-  uint64_t dropped_samples() const { return dropped_; }
-  Cycles interval_cycles() const { return interval_; }
+  Cycles interval_cycles() const { return grid_.interval; }
 
   // Field-wise sum of every emitted sample's delta (== the global counter
   // delta over the sampled span; the invariant CI gates on).
@@ -99,18 +126,13 @@ class Sampler {
   std::string ToJson() const;
 
  private:
-  // Bounds memory for pathological interval/run-length combinations.
-  static constexpr uint64_t kMaxSamples = 1ull << 20;
-
+  // Closes the open interval at `t_end` and opens the next one.
   void Emit(Cycles t_end, bool partial);
 
-  const Counters* counters_;
-  Cycles interval_;
-  Cycles last_boundary_ = 0;   // t_begin of the currently open interval
-  Cycles next_boundary_;
+  IntervalGrid grid_;
+  uint64_t index_ = 0;     // the open interval
+  Cycles next_boundary_;   // its end: grid_.Begin(index_ + 1)
   CounterDelta delta_;
-  uint64_t index_ = 0;
-  uint64_t dropped_ = 0;
   bool finalized_ = false;
   GaugeFn gauge_fn_;
   SampleFn on_sample_;

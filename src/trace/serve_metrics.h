@@ -6,8 +6,8 @@
 // interval view for the request plane: per `interval_cycles` window of
 // simulated time it reports throughput (completions), admissions, sheds, the
 // queue-depth gauge at window close, and windowed p50/p99/p999 sojourn
-// quantiles, optionally joined with the memory-plane interval series (a
-// Sampler over the same origin/interval, so windows align exactly).
+// quantiles. Windows are cut on the memory-plane Sampler's IntervalGrid
+// (src/trace/sampler.h): one tiling rule and one window cap for both.
 //
 // Determinism: events are bucketed by their *simulated* timestamps, and every
 // per-window aggregate is commutative (counts sum, histogram adds commute),
@@ -23,11 +23,12 @@
 // admitted, and shed events each land in exactly one window.
 //
 // ServeTimeline bundles one ServeMetrics (plus optional SpanRecorder) per
-// shard, merges them into the global per-window view, evaluates the SLO
-// monitor (--slo_p99_cycles), and serializes the --timeline_json artifact.
-// It is also the unwind-flush target: FlushTruncated() finalizes whatever was
-// observed so a failed sweep point still emits a well-formed (marked
-// truncated) timeline.
+// shard and one memory-plane Sampler per System, merges them into the global
+// per-window view (whose memory plane sums every System's series), evaluates
+// the SLO monitor (--slo_p99_cycles), and serializes the --timeline_json
+// artifact. It is also the unwind-flush target: FlushTruncated() finalizes
+// whatever was observed so a failed sweep point still emits a well-formed
+// (marked truncated) timeline.
 
 #ifndef SRC_TRACE_SERVE_METRICS_H_
 #define SRC_TRACE_SERVE_METRICS_H_
@@ -75,12 +76,6 @@ class ServeMetrics {
   // Opens the series at the serve-phase origin. Must precede any Record*.
   void Begin(Cycles origin);
 
-  // Joins a memory-plane interval series: a Sampler over `counters` aligned
-  // to this series' origin/interval. Call after Begin; the owner drives the
-  // returned sampler (Scheduler::Run / RunUntil observation hooks).
-  Sampler* AttachMemSampler(const Counters* counters, Sampler::GaugeFn gauges);
-  Sampler* mem_sampler() { return sampler_.get(); }
-
   void RecordAdmission(Cycles t);
   void RecordShed(Cycles t);
   void RecordCompletion(Cycles end, Cycles sojourn);
@@ -88,15 +83,14 @@ class ServeMetrics {
   // which is the owning engine's deterministic step order) closes the window.
   void ObserveQueueDepth(Cycles t, uint64_t depth);
 
-  // Materializes the contiguous window list over [origin, end], emitting
-  // zero windows for idle intervals and folding the joined mem samples in.
+  // Materializes the contiguous window list over [origin, end] (window cap
+  // checked first), emitting zero windows for idle intervals, and joins
+  // `mem`, this shard's own finalized memory-plane series, when given.
   // Idempotent (later calls are ignored), so the unwind flush may race a
   // completed normal finalize without harm.
-  void Finalize(Cycles end);
+  void Finalize(Cycles end, const Sampler* mem = nullptr);
   bool finalized() const { return finalized_; }
 
-  Cycles origin() const { return origin_; }
-  Cycles interval_cycles() const { return interval_; }
   bool begun() const { return begun_; }
   // Largest event timestamp observed; the truncated-flush finalize point.
   Cycles max_observed() const { return max_observed_; }
@@ -119,8 +113,7 @@ class ServeMetrics {
 
   Bucket& BucketFor(Cycles t);
 
-  Cycles interval_;
-  Cycles origin_ = 0;
+  IntervalGrid grid_;
   bool begun_ = false;
   bool finalized_ = false;
   Cycles max_observed_ = 0;
@@ -128,13 +121,10 @@ class ServeMetrics {
   uint64_t total_admitted_ = 0;
   uint64_t total_shed_ = 0;
   std::map<uint64_t, Bucket> buckets_;  // sparse, keyed by window index
-  std::unique_ptr<Sampler> sampler_;
   std::vector<ServeWindow> windows_;
 };
 
-// The whole-point serve timeline: one ServeMetrics (and optionally one
-// SpanRecorder) per shard, merged to a global per-window view, SLO monitor,
-// and the --timeline_json / span-export serializers.
+// The whole-point serve timeline (see the file comment).
 class ServeTimeline {
  public:
   struct Config {
@@ -171,14 +161,16 @@ class ServeTimeline {
   // Opens every shard series at the serve-phase origin.
   void Begin(Cycles origin);
 
-  // Shared layout: one memory-plane series over the shared System (the
-  // partitioned layout attaches per-shard samplers instead). Call after
-  // Begin.
-  Sampler* AttachGlobalMemSampler(const Counters* counters, Sampler::GaugeFn gauges);
-  Sampler* global_mem_sampler() { return global_sampler_.get(); }
+  // Adds one memory-plane series over a System's `counters`, on the
+  // timeline's grid. Call after Begin, once per System in System order; the
+  // owner drives the sampler. `per_shard` marks series i as shard i's own
+  // (partitioned layout), which joins it to that shard's windows as well.
+  Sampler* AttachMemSampler(const Counters* counters, Sampler::GaugeFn gauges, bool per_shard);
+  Sampler* mem_sampler(size_t i) { return mem_[i].get(); }
 
   // Normal close at the engine's serve end (every shard at the same end, so
-  // window counts line up across shards).
+  // window counts line up across shards). An end past the window cap fails
+  // before anything closes, leaving the timeline to FlushTruncated.
   void Finalize(Cycles end);
 
   // Unwind-flush path: finalizes at the maximum observed event time so a
@@ -204,15 +196,16 @@ class ServeTimeline {
   std::string SpansToChromeTrace() const;
 
  private:
-  void MergeGlobal();
+  void MergeGlobal(uint64_t windows);
   void WindowToJson(JsonWriter& w, const ServeWindow& win, bool with_slo) const;
 
   Config cfg_;
   std::vector<std::unique_ptr<ServeMetrics>> metrics_;
   std::vector<std::unique_ptr<SpanRecorder>> recorders_;
-  std::unique_ptr<Sampler> global_sampler_;
+  std::vector<std::unique_ptr<Sampler>> mem_;  // one per System, in System order
+  bool mem_per_shard_ = false;                 // mem_[i] is shard i's own series
   std::vector<ServeWindow> global_windows_;
-  Cycles origin_ = 0;
+  IntervalGrid grid_;
   Cycles end_ = 0;
   bool begun_ = false;
   bool finalized_ = false;

@@ -378,6 +378,77 @@ TEST(ServeMetricsTest, WindowedQuantilesMatchReferenceMerge) {
   EXPECT_EQ(m.total_completed(), events.size());
 }
 
+TEST(ServeMetricsTest, WindowCapFailsAFarEndBeforeAllocating) {
+  // Interval 1 with an end 2^40 cycles out would be a trillion windows: the
+  // shared window cap refuses it before anything is materialized, with a
+  // message naming the flag that sets the interval.
+  ServeMetrics m(/*interval_cycles=*/1);
+  m.Begin(1000);
+  m.RecordCompletion(1010, 10);
+  {
+    ScopedCheckCapture capture;
+    try {
+      m.Finalize(1000 + (Cycles{1} << 40));
+      ADD_FAILURE() << "Finalize past the window cap must fail";
+    } catch (const CheckFailure& e) {
+      EXPECT_NE(std::string(e.what()).find("--sample_interval_cycles"), std::string::npos);
+    }
+    // An event past the cap is refused the same way, before its bucket exists.
+    EXPECT_THROW(m.RecordAdmission(1000 + IntervalGrid::kMaxIntervals), CheckFailure);
+  }
+  EXPECT_FALSE(m.finalized());
+  EXPECT_TRUE(m.windows().empty());
+  EXPECT_EQ(m.max_observed(), 1010u);
+  // The series stays open: a close within the cap still tiles it.
+  m.Finalize(1020);
+  EXPECT_EQ(m.windows().size(), 20u);
+  EXPECT_EQ(m.total_completed(), 1u);
+}
+
+TEST(ServeTimelineTest, SingleShardJoinsPerShardMemOnlyWhenPartitioned) {
+  // With one shard, the shared System and the shard's own System are one
+  // series either way, which is where a single join path most easily
+  // mislabels it: shard windows carry mem only in the partitioned layout,
+  // where the global mem is exactly that shard's.
+  for (const EngineMode mode : {EngineMode::kShared, EngineMode::kEpoch, EngineMode::kEager}) {
+    ServeConfig cfg = SmallConfig();
+    cfg.shards = 1;
+    SetMix(cfg, "a");
+    cfg.dispatch_latency = mode == EngineMode::kEager ? 0 : 2048;
+    const bool partitioned = mode != EngineMode::kShared;
+    const std::string what = EngineModeName(mode);
+    ServeTimeline timeline(TimelineConfig(cfg, /*interval=*/5000));
+    std::unique_ptr<System> system;
+    std::unique_ptr<ServeEngine> tier;
+    if (partitioned) {
+      tier = std::make_unique<DomainTier>(G1Platform(), /*dimms_per_domain=*/1, cfg);
+    } else {
+      system = MakeG1System(1);
+      tier = std::make_unique<ServiceTier>(system.get(), cfg);
+    }
+    tier->AttachTimeline(&timeline);
+    tier->Run();
+
+    const std::vector<ServeWindow>& global = timeline.global_windows();
+    const std::vector<ServeWindow>& shard = timeline.shard(0)->windows();
+    ASSERT_EQ(shard.size(), global.size()) << what;
+    for (size_t i = 0; i < global.size(); ++i) {
+      EXPECT_TRUE(global[i].has_mem) << what << " window " << i;
+      EXPECT_EQ(shard[i].has_mem, partitioned) << what << " window " << i;
+      if (partitioned) {
+        EXPECT_EQ(shard[i].mem_delta, global[i].mem_delta) << what << " window " << i;
+        EXPECT_EQ(shard[i].mem_gauges.wpq_occupancy, global[i].mem_gauges.wpq_occupancy);
+        EXPECT_EQ(shard[i].mem_gauges.serve_queue_depth, global[i].mem_gauges.serve_queue_depth);
+      }
+    }
+    JsonValue parsed;
+    ASSERT_TRUE(JsonValue::Parse(timeline.ToJson(), &parsed)) << what;
+    const JsonValue* shard_window0 =
+        &parsed.Find("shards")->array[0].Find("windows")->array[0];
+    EXPECT_EQ(shard_window0->Find("mem") != nullptr, partitioned) << what;
+  }
+}
+
 TEST(ServeTimelineTest, GlobalWindowsAreTheExactShardMerge) {
   ServeConfig cfg = SmallConfig();
   cfg.loop = LoopMode::kOpen;

@@ -384,7 +384,6 @@ TEST(Sampler, DeltasPartitionTheRunExactly) {
   // run, so the field-wise sum of sample deltas IS the global counter delta.
   EXPECT_EQ(sampler.SumOfDeltas(), global.Delta());
   EXPECT_EQ(sampler.SumOfDeltas().demand_stores, 500u);
-  EXPECT_EQ(sampler.dropped_samples(), 0u);
 
   // The samples tile [0, end] contiguously; the final one may be partial.
   ASSERT_GE(sampler.samples().size(), 2u);
@@ -462,6 +461,21 @@ TEST(Sampler, OriginAlignsBoundaries) {
   EXPECT_EQ(sampler.samples()[2].t_begin, 1200u);
   EXPECT_EQ(sampler.samples()[2].t_end, 1230u);
   EXPECT_EQ(sampler.SumOfDeltas().imc_read_bytes, 100u);
+}
+
+TEST(Sampler, WindowCapRefusesAClockPastIt) {
+  // The window cap stops a series before it grows: a clock in interval
+  // kMaxIntervals fails the CHECK with nothing emitted for it, and the
+  // series stays usable up to the last interval below the cap.
+  Counters c;
+  Sampler sampler(&c, /*interval_cycles=*/1, /*origin=*/10);
+  {
+    ScopedCheckCapture capture;
+    EXPECT_THROW(sampler.AdvanceTo(10 + IntervalGrid::kMaxIntervals), CheckFailure);
+  }
+  EXPECT_TRUE(sampler.samples().empty());
+  sampler.AdvanceTo(10 + IntervalGrid::kMaxIntervals - 1);
+  EXPECT_EQ(sampler.samples().size(), IntervalGrid::kMaxIntervals - 1);
 }
 
 namespace sampler_determinism {

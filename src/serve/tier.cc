@@ -12,6 +12,7 @@
 #include "src/cpu/scheduler.h"
 #include "src/serve/dispatch.h"
 #include "src/trace/json.h"
+#include "src/trace/trace_events.h"
 
 namespace pmemsim {
 namespace {
@@ -158,15 +159,32 @@ void ServeEngine::Run() {
       epochs ? std::min<uint32_t>(std::max<uint32_t>(cfg_.engine_threads, 1), cfg_.shards) : 1;
   EpochPool pool(threads);
 
+  // Runs step(shard) for every shard on the pool; a traced run's shards emit
+  // into buffers merged in shard order (see src/trace/trace_events.h).
+  TraceEmitter& trace = TraceEmitter::Global();
+  std::vector<TraceEmitter::Buffer> trace_buffers(trace.enabled() ? shards_.size() : 0);
+  auto run_shards = [&](auto&& step) {
+    try {
+      pool.Run([&](uint32_t w) {
+        for (size_t d = w; d < shards_.size(); d += threads) {
+          TraceEmitter::Redirect redirect(trace_buffers.empty() ? nullptr : &trace_buffers[d]);
+          step(*shards_[d]);
+        }
+      });
+    } catch (...) {
+      trace.Merge(&trace_buffers);  // a failing point's unwind flush keeps its events
+      throw;
+    }
+    trace.Merge(&trace_buffers);
+  };
+
   // Load phase: each shard's first worker inserts one key per step.
   if (partitioned()) {
     // Each shard on its own System: there is nothing to contend on, so the
     // shards load concurrently with no epoch discipline at all.
-    pool.Run([this, threads](uint32_t w) {
-      for (size_t d = w; d < shards_.size(); d += threads) {
-        std::vector<SimJob> job = {shards_[d]->LoadJob()};
-        Scheduler::Run(job);
-      }
+    run_shards([](Shard& shard) {
+      std::vector<SimJob> job = {shard.LoadJob()};
+      Scheduler::Run(job);
     });
   } else {
     // The loaders interleave through the shared memory system in clock
@@ -208,11 +226,7 @@ void ServeEngine::Run() {
     for (Cycles epoch_end = serve_start_ + cfg_.dispatch_latency;;
          epoch_end += cfg_.dispatch_latency) {
       dispatcher_->DeliverBefore(epoch_end);
-      pool.Run([this, threads, epoch_end](uint32_t w) {
-        for (size_t d = w; d < shards_.size(); d += threads) {
-          shards_[d]->RunEpoch(epoch_end);
-        }
-      });
+      run_shards([epoch_end](Shard& shard) { shard.RunEpoch(epoch_end); });
       dispatcher_->FoldEvents();
       if (dispatcher_->Exhausted() && AllDrained()) {
         // The timeline closes at the final barrier, or later if a request
@@ -297,7 +311,8 @@ ServiceStats ServeEngine::GlobalStats() const {
   return global;
 }
 
-void ServeEngine::ToJson(JsonWriter& w) const {
+std::string ServeEngine::ToJson() const {
+  JsonWriter w;
   const double ghz = shards_[0]->system().config().cpu_ghz;
   w.BeginObject();
   w.Key("config").BeginObject();
@@ -342,11 +357,6 @@ void ServeEngine::ToJson(JsonWriter& w) const {
   }
   w.EndArray();
   w.EndObject();
-}
-
-std::string ServeEngine::ToJson() const {
-  JsonWriter w;
-  ToJson(w);
   return w.str();
 }
 

@@ -53,7 +53,6 @@
 
 namespace pmemsim {
 
-class JsonWriter;
 class TierDispatcher;
 
 class ServeEngine {
@@ -96,7 +95,6 @@ class ServeEngine {
   // (scripts/check_serve.py schema). The partitioned layout adds
   // config.engine = "partitioned" and config.dispatch_latency — but never
   // engine_threads: the report must byte-compare across thread counts.
-  void ToJson(JsonWriter& w) const;
   std::string ToJson() const;
 
  private:

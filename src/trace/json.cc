@@ -25,40 +25,22 @@ void JsonWriter::BeforeValue() {
   started_ = true;
 }
 
-JsonWriter& JsonWriter::BeginObject() {
+JsonWriter& JsonWriter::Open(char bracket) {
   BeforeValue();
-  out_ += '{';
+  out_ += bracket;
   has_element_.push_back(false);
-  ++depth_;
   return *this;
 }
 
-JsonWriter& JsonWriter::EndObject() {
-  PMEMSIM_CHECK(depth_ > 0 && !pending_key_);
-  out_ += '}';
+JsonWriter& JsonWriter::Close(char bracket) {
+  PMEMSIM_CHECK(!has_element_.empty() && !pending_key_);
+  out_ += bracket;
   has_element_.pop_back();
-  --depth_;
-  return *this;
-}
-
-JsonWriter& JsonWriter::BeginArray() {
-  BeforeValue();
-  out_ += '[';
-  has_element_.push_back(false);
-  ++depth_;
-  return *this;
-}
-
-JsonWriter& JsonWriter::EndArray() {
-  PMEMSIM_CHECK(depth_ > 0 && !pending_key_);
-  out_ += ']';
-  has_element_.pop_back();
-  --depth_;
   return *this;
 }
 
 JsonWriter& JsonWriter::Key(const std::string& name) {
-  PMEMSIM_CHECK(depth_ > 0 && !pending_key_);
+  PMEMSIM_CHECK(!has_element_.empty() && !pending_key_);
   if (has_element_.back()) {
     out_ += ',';
   }
@@ -82,17 +64,13 @@ JsonWriter& JsonWriter::Value(const char* s) { return Value(std::string(s)); }
 
 JsonWriter& JsonWriter::Value(uint64_t v) {
   BeforeValue();
-  char buf[24];
-  std::snprintf(buf, sizeof(buf), "%llu", static_cast<unsigned long long>(v));
-  out_ += buf;
+  out_ += std::to_string(v);
   return *this;
 }
 
 JsonWriter& JsonWriter::Value(int v) {
   BeforeValue();
-  char buf[16];
-  std::snprintf(buf, sizeof(buf), "%d", v);
-  out_ += buf;
+  out_ += std::to_string(v);
   return *this;
 }
 
@@ -215,9 +193,16 @@ class Parser {
     }
     switch (text_[pos_]) {
       case '{':
-        return ParseObject(out);
-      case '[':
-        return ParseArray(out);
+      case '[': {
+        // Bounds the recursion, so hostile input fails instead of overflowing
+        // the stack; the repo's own documents nest fewer than ten levels.
+        if (++depth_ > kMaxDepth) {
+          return Fail("nesting deeper than 512 levels");
+        }
+        const bool ok = text_[pos_] == '{' ? ParseObject(out) : ParseArray(out);
+        --depth_;
+        return ok;
+      }
       case '"':
         out->type = JsonValue::Type::kString;
         return ParseString(&out->string);
@@ -437,9 +422,12 @@ class Parser {
     }
   }
 
+  static constexpr int kMaxDepth = 512;
+
   const std::string& text_;
   std::string* error_;
   size_t pos_ = 0;
+  int depth_ = 0;  // arrays and objects open around pos_
 };
 
 }  // namespace

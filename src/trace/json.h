@@ -26,10 +26,10 @@ namespace pmemsim {
 //   w.str();  // {"hits":3}
 class JsonWriter {
  public:
-  JsonWriter& BeginObject();
-  JsonWriter& EndObject();
-  JsonWriter& BeginArray();
-  JsonWriter& EndArray();
+  JsonWriter& BeginObject() { return Open('{'); }
+  JsonWriter& EndObject() { return Close('}'); }
+  JsonWriter& BeginArray() { return Open('['); }
+  JsonWriter& EndArray() { return Close(']'); }
   JsonWriter& Key(const std::string& name);
 
   JsonWriter& Value(const std::string& s);
@@ -45,17 +45,18 @@ class JsonWriter {
   // re-walking them through this writer.
   JsonWriter& Raw(const std::string& json);
 
-  bool complete() const { return depth_ == 0 && started_; }
+  bool complete() const { return has_element_.empty() && started_; }
   const std::string& str() const { return out_; }
 
  private:
   void BeforeValue();
+  JsonWriter& Open(char bracket);
+  JsonWriter& Close(char bracket);
 
   std::string out_;
   // Per-nesting-level flag: true once the first element was written (the next
   // element needs a leading comma).
   std::vector<bool> has_element_;
-  int depth_ = 0;
   bool started_ = false;
   bool pending_key_ = false;
 };
@@ -84,7 +85,8 @@ struct JsonValue {
   double AsDouble() const { return is_integer ? static_cast<double>(integer) : number; }
 
   // Parses `text` into `*out`. On failure returns false and, when `error` is
-  // non-null, stores a message with the byte offset.
+  // non-null, stores a message with the byte offset. Nesting deeper than 512
+  // arrays/objects is rejected rather than recursed into.
   static bool Parse(const std::string& text, JsonValue* out, std::string* error = nullptr);
 };
 

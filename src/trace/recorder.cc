@@ -23,20 +23,9 @@ constexpr uint64_t kMaxMultiAddrs = 65536;     // kLoadMulti address-list size
 
 void PutU8(std::string& out, uint8_t v) { out.push_back(static_cast<char>(v)); }
 
-void PutU16(std::string& out, uint16_t v) {
-  for (int i = 0; i < 2; ++i) {
-    out.push_back(static_cast<char>((v >> (8 * i)) & 0xFF));
-  }
-}
-
-void PutU32(std::string& out, uint32_t v) {
-  for (int i = 0; i < 4; ++i) {
-    out.push_back(static_cast<char>((v >> (8 * i)) & 0xFF));
-  }
-}
-
-void PutU64(std::string& out, uint64_t v) {
-  for (int i = 0; i < 8; ++i) {
+// Little-endian fixed-width field, the inverse of Cursor::Little.
+void PutLittle(std::string& out, uint64_t v, int bytes) {
+  for (int i = 0; i < bytes; ++i) {
     out.push_back(static_cast<char>((v >> (8 * i)) & 0xFF));
   }
 }
@@ -59,7 +48,7 @@ int64_t Unzigzag(uint64_t v) {
 
 void PutString16(std::string& out, const std::string& s) {
   PMEMSIM_CHECK_MSG(s.size() <= kMaxStringBytes, "trace string too long");
-  PutU16(out, static_cast<uint16_t>(s.size()));
+  PutLittle(out, static_cast<uint16_t>(s.size()), 2);
   out.append(s);
 }
 
@@ -301,27 +290,27 @@ TraceSegment TraceRecorder::Take(std::string label,
 std::string TraceFile::Serialize() const {
   std::string out;
   out.append(kMagic, sizeof(kMagic));
-  PutU32(out, header.version);
-  PutU64(out, header.fingerprint);
+  PutLittle(out, header.version, 4);
+  PutLittle(out, header.fingerprint, 8);
   PutString16(out, header.platform_name);
   PutU8(out, static_cast<uint8_t>(header.generation));
   PutU8(out, header.eadr ? 1 : 0);
-  PutU32(out, header.dimm_count);
+  PutLittle(out, header.dimm_count, 4);
   PutString16(out, header.scenario);
   PMEMSIM_CHECK_MSG(segments.size() <= kMaxSegments, "too many trace segments");
-  PutU32(out, static_cast<uint32_t>(segments.size()));
+  PutLittle(out, static_cast<uint32_t>(segments.size()), 4);
 
   for (const TraceSegment& seg : segments) {
     PutString16(out, seg.label);
     PMEMSIM_CHECK_MSG(seg.meta.size() <= kMaxMetaEntries, "too many metadata entries");
-    PutU16(out, static_cast<uint16_t>(seg.meta.size()));
+    PutLittle(out, static_cast<uint16_t>(seg.meta.size()), 2);
     for (const auto& [k, v] : seg.meta) {
       PutString16(out, k);
       PutString16(out, v);
     }
     PMEMSIM_CHECK_MSG(!seg.thread_nodes.empty() && seg.thread_nodes.size() <= kMaxThreads,
                       "bad trace thread table");
-    PutU32(out, static_cast<uint32_t>(seg.thread_nodes.size()));
+    PutLittle(out, static_cast<uint32_t>(seg.thread_nodes.size()), 4);
     for (const NodeId node : seg.thread_nodes) {
       PutU8(out, node);
     }
@@ -351,12 +340,12 @@ std::string TraceFile::Serialize() const {
       PutVarint(payload, rec.clock - last_clock[rec.thread]);
       last_clock[rec.thread] = rec.clock;
     }
-    PutU64(out, seg.records.size());
-    PutU64(out, payload.size());
+    PutLittle(out, seg.records.size(), 8);
+    PutLittle(out, payload.size(), 8);
     out.append(payload);
   }
 
-  PutU64(out, TotalRecords());
+  PutLittle(out, TotalRecords(), 8);
   out.append(kEndMagic, sizeof(kEndMagic));
   return out;
 }

@@ -32,18 +32,14 @@ void CounterRegistry::AggregateInto(Counters* out) const {
   *out = Aggregate();  // value-only assignment; `out`'s binding survives
 }
 
-void CounterRegistry::ToJson(JsonWriter& w) const {
+std::string CounterRegistry::ToJson() const {
+  JsonWriter w;
   w.BeginObject();
   for (const Scope& s : scopes_) {
     w.Key(s.name);
     s.counters.ToJson(w);
   }
   w.EndObject();
-}
-
-std::string CounterRegistry::ToJson() const {
-  JsonWriter w;
-  ToJson(w);
   return w.str();
 }
 

@@ -46,7 +46,6 @@ class CounterRegistry {
   void AggregateInto(Counters* out) const;
 
   // {"scope_name": {counters...}, ...} in creation order.
-  void ToJson(JsonWriter& w) const;
   std::string ToJson() const;
 
  private:

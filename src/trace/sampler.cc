@@ -74,7 +74,8 @@ Counters Sampler::SumOfDeltas() const {
   return sum;
 }
 
-void Sampler::ToJson(JsonWriter& w) const {
+std::string Sampler::ToJson() const {
+  JsonWriter w;
   w.BeginArray();
   for (const Sample& s : samples_) {
     w.BeginObject();
@@ -93,11 +94,6 @@ void Sampler::ToJson(JsonWriter& w) const {
     w.EndObject();
   }
   w.EndArray();
-}
-
-std::string Sampler::ToJson() const {
-  JsonWriter w;
-  ToJson(w);
   return w.str();
 }
 

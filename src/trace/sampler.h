@@ -36,8 +36,6 @@
 
 namespace pmemsim {
 
-class JsonWriter;
-
 // Instantaneous occupancy values read at each interval boundary — gauges, as
 // opposed to the monotone counter deltas. Filled by the gauge source the
 // owner installs (typically summing over a System's DIMMs/WPQs).
@@ -122,7 +120,6 @@ class Sampler {
 
   // JSON array of samples: [{"index":..,"t_begin":..,"t_end":..,
   // "partial":..,"delta":{counters...},"gauges":{...}}, ...].
-  void ToJson(JsonWriter& w) const;
   std::string ToJson() const;
 
  private:

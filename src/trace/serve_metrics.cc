@@ -6,6 +6,7 @@
 
 #include "src/common/check.h"
 #include "src/trace/json.h"
+#include "src/trace/trace_events.h"
 #include "src/workload/ycsb.h"
 
 namespace pmemsim {
@@ -239,23 +240,14 @@ void ServeTimeline::WindowToJson(JsonWriter& w, const ServeWindow& win, bool wit
   w.Key("admitted").Value(win.admitted);
   w.Key("shed").Value(win.shed);
   w.Key("queue_depth").Value(win.queue_depth);
-  w.Key("sojourn_p50");
-  if (win.sojourn.count()) {
-    w.Value(win.sojourn.Quantile(0.50));
-  } else {
-    w.Null();
-  }
-  w.Key("sojourn_p99");
-  if (win.sojourn.count()) {
-    w.Value(win.sojourn.Quantile(0.99));
-  } else {
-    w.Null();
-  }
-  w.Key("sojourn_p999");
-  if (win.sojourn.count()) {
-    w.Value(win.sojourn.Quantile(0.999));
-  } else {
-    w.Null();
+  for (const auto& [key, q] : {std::pair{"sojourn_p50", 0.50}, std::pair{"sojourn_p99", 0.99},
+                               std::pair{"sojourn_p999", 0.999}}) {
+    w.Key(key);
+    if (win.sojourn.count()) {
+      w.Value(win.sojourn.Quantile(q));
+    } else {
+      w.Null();
+    }
   }
   if (with_slo && cfg_.slo_p99_cycles > 0) {
     w.Key("slo_violation")
@@ -277,8 +269,9 @@ void ServeTimeline::WindowToJson(JsonWriter& w, const ServeWindow& win, bool wit
   w.EndObject();
 }
 
-void ServeTimeline::ToJson(JsonWriter& w) const {
+std::string ServeTimeline::ToJson() const {
   PMEMSIM_CHECK_MSG(finalized_, "serve timeline serialized before Finalize");
+  JsonWriter w;
   w.BeginObject();
   w.Key("schema_version").Value(uint64_t{1});
   w.Key("config").BeginObject();
@@ -335,11 +328,6 @@ void ServeTimeline::ToJson(JsonWriter& w) const {
   }
   w.EndArray();
   w.EndObject();
-}
-
-std::string ServeTimeline::ToJson() const {
-  JsonWriter w;
-  ToJson(w);
   return w.str();
 }
 
@@ -397,45 +385,30 @@ std::string ServeTimeline::SpansToJson() const {
 std::string ServeTimeline::SpansToChromeTrace() const {
   // chrome://tracing "X" (complete) events; ts/dur are simulated cycles
   // rendered as microseconds by the viewer — relative shape is what matters.
-  JsonWriter w;
-  w.BeginObject();
-  w.Key("displayTimeUnit").Value("ns");
-  w.Key("traceEvents").BeginArray();
-  for (uint32_t s = 0; s < cfg_.shards; ++s) {
-    w.BeginObject();
-    w.Key("name").Value("process_name");
-    w.Key("ph").Value("M");
-    w.Key("pid").Value(uint64_t{s});
-    w.Key("args").BeginObject().Key("name").Value("shard " + std::to_string(s)).EndObject();
-    w.EndObject();
-  }
-  for (const auto& r : recorders_) {
-    for (const RequestSpan& sp : r->spans()) {
-      w.BeginObject();
-      w.Key("name").Value(ServeOpName(static_cast<ServeOp>(sp.op)));
-      w.Key("ph").Value("X");
-      w.Key("pid").Value(uint64_t{sp.shard});
-      w.Key("tid").Value(uint64_t{sp.client});
-      w.Key("ts").Value(sp.start);
-      w.Key("dur").Value(sp.service());
-      w.Key("args").BeginObject();
-      w.Key("arrival").Value(sp.arrival);
-      w.Key("admit").Value(sp.admit);
-      w.Key("queue_wait").Value(sp.start - sp.arrival);
-      w.Key("stages").BeginObject();
-      for (int st = 0; st < AttributionCollector::kStageCount; ++st) {
-        if (sp.stages[st] == 0) continue;
-        w.Key(AttributionCollector::StageName(static_cast<AttributionCollector::Stage>(st)))
-            .Value(sp.stages[st]);
-      }
-      w.EndObject();
-      w.EndObject();
-      w.EndObject();
+  return WriteChromeTrace([this](JsonWriter& w) {
+    for (uint32_t s = 0; s < cfg_.shards; ++s) {
+      TraceNameRow(w, s, std::nullopt, "shard " + std::to_string(s));
     }
-  }
-  w.EndArray();
-  w.EndObject();
-  return w.str();
+    for (const auto& r : recorders_) {
+      for (const RequestSpan& sp : r->spans()) {
+        TraceRow(w, ServeOpName(static_cast<ServeOp>(sp.op)), 'X', sp.shard, sp.client, sp.start,
+                 sp.service());
+        w.Key("args").BeginObject();
+        w.Key("arrival").Value(sp.arrival);
+        w.Key("admit").Value(sp.admit);
+        w.Key("queue_wait").Value(sp.start - sp.arrival);
+        w.Key("stages").BeginObject();
+        for (int st = 0; st < AttributionCollector::kStageCount; ++st) {
+          if (sp.stages[st] == 0) continue;
+          w.Key(AttributionCollector::StageName(static_cast<AttributionCollector::Stage>(st)))
+              .Value(sp.stages[st]);
+        }
+        w.EndObject();
+        w.EndObject();
+        w.EndObject();
+      }
+    }
+  });
 }
 
 }  // namespace pmemsim

@@ -91,7 +91,6 @@ class ServeMetrics {
   void Finalize(Cycles end, const Sampler* mem = nullptr);
   bool finalized() const { return finalized_; }
 
-  bool begun() const { return begun_; }
   // Largest event timestamp observed; the truncated-flush finalize point.
   Cycles max_observed() const { return max_observed_; }
   uint64_t total_completed() const { return total_completed_; }
@@ -177,6 +176,7 @@ class ServeTimeline {
   // failing sweep point still yields a well-formed timeline, marked
   // truncated. Safe to call at any point in the lifecycle, repeatedly.
   void FlushTruncated();
+  bool finalized() const { return finalized_; }
   bool truncated() const { return truncated_; }
 
   // Valid after Finalize/FlushTruncated.
@@ -185,14 +185,14 @@ class ServeTimeline {
 
   // The per-point --timeline_json artifact (see scripts/check_timeline.py
   // for the schema this must satisfy).
-  void ToJson(JsonWriter& w) const;
   std::string ToJson() const;
 
   // Compact span export: columnar arrays, one row per span, shards
   // concatenated in index order.
   std::string SpansToJson() const;
-  // chrome://tracing export: one "X" (complete) event per span, pid = shard,
-  // tid = client, ts/dur in simulated cycles, stage breakdown in args.
+  // chrome://tracing export (through WriteChromeTrace): one "X" (complete)
+  // event per span, pid = shard, tid = client, ts/dur in simulated cycles,
+  // stage breakdown in args.
   std::string SpansToChromeTrace() const;
 
  private:

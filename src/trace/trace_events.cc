@@ -1,9 +1,10 @@
 #include "src/trace/trace_events.h"
 
+#include <algorithm>
 #include <cstdio>
+#include <iterator>
 
 #include "src/common/check.h"
-#include "src/trace/json.h"
 
 namespace pmemsim {
 
@@ -20,6 +21,37 @@ void FlushTraceOnUnwind() {
 }
 }  // namespace
 
+std::string WriteChromeTrace(const std::function<void(JsonWriter&)>& rows, uint64_t dropped) {
+  JsonWriter w;
+  w.BeginObject();
+  w.Key("displayTimeUnit").Value("ns");
+  w.Key("traceEvents").BeginArray();
+  rows(w);
+  w.EndArray();
+  if (dropped > 0) {
+    w.Key("pmemsim_dropped_events").Value(dropped);
+  }
+  w.EndObject();
+  return w.str();
+}
+
+void TraceRow(JsonWriter& w, const std::string& name, char ph, uint64_t pid,
+              std::optional<uint64_t> tid, std::optional<Cycles> ts, std::optional<Cycles> dur) {
+  w.BeginObject();
+  w.Key("name").Value(name);
+  w.Key("ph").Value(std::string(1, ph));
+  w.Key("pid").Value(pid);
+  if (tid) w.Key("tid").Value(*tid);
+  if (ts) w.Key("ts").Value(*ts);
+  if (dur) w.Key("dur").Value(*dur);
+}
+
+void TraceNameRow(JsonWriter& w, uint64_t pid, std::optional<uint64_t> tid,
+                  const std::string& label) {
+  TraceRow(w, tid ? "thread_name" : "process_name", 'M', pid, tid);
+  w.Key("args").BeginObject().Key("name").Value(label).EndObject().EndObject();
+}
+
 TraceEmitter& TraceEmitter::Global() {
   static TraceEmitter instance;
   return instance;
@@ -27,15 +59,13 @@ TraceEmitter& TraceEmitter::Global() {
 
 void TraceEmitter::Enable(const std::string& path) {
   // Installed for the process lifetime; the hook no-ops while disabled.
-  SetCaptureUnwindHook(&FlushTraceOnUnwind);
+  RegisterCaptureUnwindHook(&FlushTraceOnUnwind);
   std::lock_guard<std::mutex> lock(mu_);
   path_ = path;
   enabled_.store(true, std::memory_order_relaxed);
   events_.clear();
   dropped_ = 0;
-  if (tracks_.empty()) {
-    tracks_.push_back("sim");
-  }
+  tracks_.assign(1, "sim");  // a session's file names only its own tracks
 }
 
 bool TraceEmitter::Disable() {
@@ -48,9 +78,6 @@ bool TraceEmitter::Disable() {
 
 int TraceEmitter::RegisterTrack(const std::string& name) {
   std::lock_guard<std::mutex> lock(mu_);
-  if (tracks_.empty()) {
-    tracks_.push_back("sim");
-  }
   // Benches construct a fresh System per data point; each re-registers its
   // DIMM tracks. Suffix repeats so the viewer rows stay distinguishable.
   size_t repeats = 0;
@@ -64,12 +91,35 @@ int TraceEmitter::RegisterTrack(const std::string& name) {
 }
 
 void TraceEmitter::Push(Event e) {
+  if (Buffer* buffer = redirect_) {
+    // A buffer never holds more than the emitter could take at the merge.
+    if (buffer->events.size() < kMaxEvents) {
+      buffer->events.push_back(std::move(e));
+    } else {
+      ++buffer->dropped;
+    }
+    return;
+  }
   std::lock_guard<std::mutex> lock(mu_);
   if (events_.size() >= kMaxEvents) {
     ++dropped_;
     return;
   }
   events_.push_back(std::move(e));
+}
+
+void TraceEmitter::Merge(std::vector<Buffer>* buffers) {
+  if (buffers->empty()) {
+    return;
+  }
+  std::lock_guard<std::mutex> lock(mu_);
+  for (Buffer& b : *buffers) {
+    const size_t take = std::min(b.events.size(), kMaxEvents - events_.size());
+    std::move(b.events.begin(), b.events.begin() + take, std::back_inserter(events_));
+    dropped_ += b.dropped + (b.events.size() - take);
+    b.events.clear();
+    b.dropped = 0;
+  }
 }
 
 void TraceEmitter::Instant(int track, const std::string& name, Cycles ts) {
@@ -85,63 +135,32 @@ void TraceEmitter::CounterEvent(int track, const std::string& name, Cycles ts, d
   Push(Event{'C', track, name, ts, true, "value", value});
 }
 
-size_t TraceEmitter::event_count() const {
-  std::lock_guard<std::mutex> lock(mu_);
-  return events_.size();
-}
-
-uint64_t TraceEmitter::dropped_events() const {
-  std::lock_guard<std::mutex> lock(mu_);
-  return dropped_;
-}
-
 bool TraceEmitter::Flush() {
   std::lock_guard<std::mutex> lock(mu_);
   return FlushLocked();
 }
 
 bool TraceEmitter::FlushLocked() {
-  JsonWriter w;
-  w.BeginObject();
-  w.Key("displayTimeUnit").Value("ns");
-  w.Key("traceEvents").BeginArray();
-  // Track-name metadata events so the viewer labels each row.
-  for (size_t i = 0; i < tracks_.size(); ++i) {
-    w.BeginObject();
-    w.Key("ph").Value("M");
-    w.Key("name").Value("thread_name");
-    w.Key("pid").Value(0);
-    w.Key("tid").Value(static_cast<uint64_t>(i));
-    w.Key("args").BeginObject().Key("name").Value(tracks_[i]).EndObject();
-    w.EndObject();
-  }
-  for (const Event& e : events_) {
-    w.BeginObject();
-    w.Key("ph").Value(std::string(1, e.phase));
-    w.Key("name").Value(e.name);
-    w.Key("cat").Value("pmemsim");
-    w.Key("ts").Value(static_cast<uint64_t>(e.ts));
-    w.Key("pid").Value(0);
-    w.Key("tid").Value(e.track);
-    if (e.phase == 'i') {
-      w.Key("s").Value("t");  // thread-scoped instant
+  auto rows = [this](JsonWriter& w) {
+    for (size_t i = 0; i < tracks_.size(); ++i) {
+      TraceNameRow(w, 0, i, tracks_[i]);
     }
-    if (e.has_arg) {
-      w.Key("args").BeginObject().Key(e.arg_name).Value(e.arg_value).EndObject();
+    for (const Event& e : events_) {
+      TraceRow(w, e.name, e.phase, 0, e.track, e.ts);
+      if (e.phase == 'i') {
+        w.Key("s").Value("t");  // thread-scoped instant
+      }
+      if (e.has_arg) {
+        w.Key("args").BeginObject().Key(e.arg_name).Value(e.arg_value).EndObject();
+      }
+      w.EndObject();
     }
-    w.EndObject();
-  }
-  w.EndArray();
-  if (dropped_ > 0) {
-    w.Key("pmemsim_dropped_events").Value(dropped_);
-  }
-  w.EndObject();
-
+  };
+  const std::string text = WriteChromeTrace(rows, dropped_);
   std::FILE* f = std::fopen(path_.c_str(), "w");
   if (f == nullptr) {
     return false;
   }
-  const std::string& text = w.str();
   const bool ok = std::fwrite(text.data(), 1, text.size(), f) == text.size();
   return std::fclose(f) == 0 && ok;
 }

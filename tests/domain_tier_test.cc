@@ -5,11 +5,15 @@
 
 #include <gtest/gtest.h>
 
+#include <cstdio>
+#include <fstream>
+#include <sstream>
 #include <string>
 
 #include "src/common/config.h"
 #include "src/serve/domain_tier.h"
 #include "src/trace/serve_metrics.h"
+#include "src/trace/trace_events.h"
 #include "src/workload/ycsb.h"
 
 namespace pmemsim {
@@ -189,6 +193,35 @@ TEST(DomainTierTest, ReportExcludesEngineThreadsAndNamesTheEngine) {
   EXPECT_EQ(json.find("engine_threads"), std::string::npos);
   EXPECT_NE(json.find("\"engine\":\"partitioned\""), std::string::npos);
   EXPECT_NE(json.find("\"dispatch_latency\":2048"), std::string::npos);
+}
+
+// The --trace_out trace of one traced engine run, as the emitter flushes it.
+std::string RunTraced(const ServeConfig& cfg, const std::string& path) {
+  TraceEmitter& trace = TraceEmitter::Global();
+  trace.Enable(path);
+  {
+    DomainTier tier(G1Platform(), /*dimms_per_domain=*/1, cfg);
+    tier.Run();
+  }
+  EXPECT_TRUE(trace.Disable());
+  std::ifstream in(path);
+  std::stringstream text;
+  text << in.rdbuf();
+  std::remove(path.c_str());
+  return text.str();
+}
+
+TEST(DomainTierTest, TraceByteIdenticalAcrossEngineThreads) {
+  // Shards on pool threads emit into per-shard buffers merged in shard order,
+  // so the trace is the one a single engine thread writes.
+  ServeConfig cfg = SmallConfig(LoopMode::kOpen);
+  cfg.shards = 4;
+  const std::string path = ::testing::TempDir() + "/pmemsim_domain_trace.json";
+  cfg.engine_threads = 1;
+  const std::string baseline = RunTraced(cfg, path);
+  EXPECT_NE(baseline.find("\"wpq_occupancy\""), std::string::npos);
+  cfg.engine_threads = 4;
+  EXPECT_EQ(RunTraced(cfg, path), baseline);
 }
 
 // ---------- Serve observability on the partitioned engine ----------

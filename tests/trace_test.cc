@@ -80,6 +80,17 @@ TEST(Json, ParserRejectsMalformedInput) {
   EXPECT_FALSE(error.empty());
 }
 
+TEST(Json, ParserBoundsNestingDepth) {
+  // Unbounded recursion on hostile input used to overflow the stack.
+  JsonValue v;
+  std::string error;
+  EXPECT_FALSE(JsonValue::Parse(std::string(100000, '['), &v, &error));
+  EXPECT_NE(error.find("at offset 512"), std::string::npos) << error;
+  // Nesting well past anything the repo writes still parses.
+  EXPECT_TRUE(JsonValue::Parse(std::string(100, '[') + std::string(100, ']'), &v, &error))
+      << error;
+}
+
 // --- serialization round-trips ---
 
 TEST(Serialization, CountersRoundTrip) {

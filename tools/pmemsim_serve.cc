@@ -19,6 +19,7 @@
 #include <cinttypes>
 #include <cstdio>
 #include <exception>
+#include <functional>
 #include <memory>
 #include <string>
 #include <vector>
@@ -54,6 +55,29 @@ struct ServeCliConfig {
   bool observe = false;           // any of the above requested
 };
 
+bool Put(std::FILE* f, const std::string& text) {
+  return std::fwrite(text.data(), 1, text.size(), f) == text.size();
+}
+
+// Opens `path` and lets `write(f)` fill it (false on a short write).
+bool WriteFileOrComplain(const std::string& path, const std::function<bool(std::FILE*)>& write) {
+  std::FILE* f = std::fopen(path.c_str(), "w");
+  if (f == nullptr) {
+    std::fprintf(stderr, "error: cannot open %s\n", path.c_str());
+    return false;
+  }
+  const bool ok = write(f);
+  if (std::fclose(f) != 0 || !ok) {
+    std::fprintf(stderr, "error: short write to %s\n", path.c_str());
+    return false;
+  }
+  return true;
+}
+
+bool WriteFileOrComplain(const std::string& path, const std::string& text) {
+  return WriteFileOrComplain(path, [&text](std::FILE* f) { return Put(f, text); });
+}
+
 // The sweep point currently running on this worker thread, for the hard-abort
 // flush below. Captured failures never reach the process-wide hook (the sweep
 // runner catches them in the same frame as its capture scope), so this only
@@ -73,60 +97,54 @@ void FlushTimelineOnAbort() {
   }
   // main() never assembles the multi-point artifact on this path; persist the
   // failing point alone, at a side path so the real artifact stays absent.
-  const std::string path = *g_timeline_path + ".aborted";
-  if (std::FILE* f = std::fopen(path.c_str(), "w")) {
-    const std::string json = timeline->ToJson();
-    std::fwrite(json.data(), 1, json.size(), f);
-    std::fclose(f);
-  }
+  WriteFileOrComplain(*g_timeline_path + ".aborted", timeline->ToJson());
 }
 
-// Serializes the point's timeline into its artifact slot on every exit path.
-// Normal completion writes the tier-finalized timeline; a propagating failure
-// first flushes it truncated at the last observed event, so a failed sweep
-// point still yields a well-formed (marked truncated) timeline. The guard
-// must live INSIDE the point body: the sweep runner catches the exception in
-// the same frame that holds its ScopedCheckCapture, so only an object in the
-// point's own frame destructs while the exception is still in flight. It must
-// also be declared after the tier: the flush samples the tier's machines, so
-// it has to run before they are destroyed.
-class TimelineSlotGuard {
+// Closes the point's timeline on every exit path. Normal completion leaves
+// the tier-finalized timeline; a propagating failure flushes it truncated at
+// the last observed event, so a failed sweep point still yields a
+// well-formed (marked truncated) timeline. The guard must live INSIDE the
+// point body: the sweep runner catches the exception in the same frame that
+// holds its ScopedCheckCapture, so only an object in the point's own frame
+// destructs while the exception is still in flight. It must also be declared
+// after the tier: the flush samples the tier's machines, so it has to run
+// before they are destroyed.
+class TimelineFlushGuard {
  public:
-  TimelineSlotGuard(ServeTimeline* timeline, std::string* slot)
-      : timeline_(timeline), slot_(slot) {
+  explicit TimelineFlushGuard(ServeTimeline* timeline) : timeline_(timeline) {
     if (timeline_ != nullptr) {
       g_active_timeline = timeline_;
       RegisterCaptureUnwindHook(&FlushTimelineOnAbort);  // hard-abort cover
     }
   }
-  ~TimelineSlotGuard() {
+  ~TimelineFlushGuard() {
     if (timeline_ == nullptr) {
       return;
     }
     g_active_timeline = nullptr;
     timeline_->FlushTruncated();  // no-op after the tier's normal Finalize
-    *slot_ = timeline_->ToJson();
   }
-  TimelineSlotGuard(const TimelineSlotGuard&) = delete;
-  TimelineSlotGuard& operator=(const TimelineSlotGuard&) = delete;
+  TimelineFlushGuard(const TimelineFlushGuard&) = delete;
+  TimelineFlushGuard& operator=(const TimelineFlushGuard&) = delete;
 
  private:
   ServeTimeline* timeline_;
-  std::string* slot_;
 };
 
-bool WriteFileOrComplain(const std::string& path, const std::string& text) {
-  std::FILE* f = std::fopen(path.c_str(), "w");
-  if (f == nullptr) {
-    std::fprintf(stderr, "error: cannot open %s\n", path.c_str());
-    return false;
-  }
-  const bool ok = std::fwrite(text.data(), 1, text.size(), f) == text.size();
-  if (std::fclose(f) != 0 || !ok) {
-    std::fprintf(stderr, "error: short write to %s\n", path.c_str());
-    return false;
-  }
-  return true;
+// The --timeline_json artifact, one point at a time: only one point's
+// serialized section is alive while the file is written. A point that never
+// finalized its timeline (it never ran) is null, keeping indexes aligned with
+// the report rows.
+bool WriteTimelineArtifact(const std::string& path,
+                           const std::vector<std::unique_ptr<ServeTimeline>>& timelines) {
+  return WriteFileOrComplain(path, [&timelines](std::FILE* f) {
+    bool ok = Put(f, "{\"schema_version\":1,\"bench\":\"pmemsim_serve\",\"points\":[");
+    for (size_t i = 0; i < timelines.size(); ++i) {
+      ok = ok && (i == 0 || Put(f, ","));
+      ok = ok && Put(f, timelines[i]->finalized() ? timelines[i]->ToJson() : "null");
+    }
+    return ok && Put(f, "]}");
+  });
 }
 
 std::vector<std::string> SplitCsv(const std::string& s) {
@@ -178,7 +196,7 @@ void EmitScope(pmemsim_bench::SweepPoint& point, const ServeCliConfig& cli,
 
 void RunPoint(const ServeCliConfig& cli, const std::string& mix, LoopMode loop,
               pmemsim_bench::SweepPoint& point, std::string* serve_json,
-              ServeTimeline* timeline, std::string* timeline_json) {
+              ServeTimeline* timeline) {
   ServeConfig cfg = cli.serve;
   cfg.mix_name = mix;
   cfg.mix = *MixByName(mix);
@@ -194,7 +212,7 @@ void RunPoint(const ServeCliConfig& cli, const std::string& mix, LoopMode loop,
     shared = std::make_unique<System>(cli.platform, cli.dimms != 0 ? cli.dimms : cfg.shards);
     tier = std::make_unique<ServiceTier>(shared.get(), cfg);
   }
-  TimelineSlotGuard flush_guard(timeline, timeline_json);
+  TimelineFlushGuard flush_guard(timeline);
   tier->AttachTimeline(timeline);
   tier->Run();
   EmitScope(point, cli, mix, loop, "global", tier->GlobalStats(), tier->serve_start());
@@ -239,7 +257,8 @@ int Usage() {
       "                      engine and advance its shard domains on N host\n"
       "                      threads. Changes the simulated model (per-shard\n"
       "                      machines + client dispatch latency), never the\n"
-      "                      results for a given model: any N compares equal\n"
+      "                      results for a given model: any N compares equal,\n"
+      "                      the --trace_out trace included\n"
       "  --dispatch_latency=C  partitioned engine only: client->shard dispatch\n"
       "                      latency in cycles (the epoch window; 0 = eager\n"
       "                      sequential fallback)\n",
@@ -315,12 +334,6 @@ int main(int argc, char** argv) {
       pmemsim_bench::Flags::BadValue("engine_threads", "0", "host thread count >= 1");
     }
     cli.serve.dispatch_latency = flags.GetU64("dispatch_latency", 2048);
-    if (!flags.Get("trace_out", "").empty() && cli.serve.engine_threads > 1) {
-      std::fprintf(stderr,
-                   "note: --trace_out forces --engine_threads=1 (the trace "
-                   "emitter is a global sink; order must stay deterministic)\n");
-      cli.serve.engine_threads = 1;
-    }
   } else if (!flags.Get("dispatch_latency", "").empty()) {
     pmemsim_bench::Flags::BadValue("dispatch_latency", flags.Get("dispatch_latency", ""),
                                    "--engine_threads to be set (partitioned engine only)");
@@ -368,19 +381,17 @@ int main(int argc, char** argv) {
   // One sweep point per (mix, loop): its own System, deterministic per seed.
   // Per-point tier JSON lands in a pre-sized slot so --jobs parallelism keeps
   // the assembled "serve" section in submission order. Timelines live here in
-  // main's frame — they must outlive a failing point's unwinding so the flush
-  // guard can serialize the truncated artifact into its slot.
+  // main's frame — they must outlive a failing point's unwinding so its
+  // truncated timeline reaches the artifact.
   const size_t n_points = cli.mixes.size() * cli.loops.size();
   std::vector<std::string> serve_sections(n_points);
   std::vector<std::unique_ptr<ServeTimeline>> timelines(cli.observe ? n_points : 0);
-  std::vector<std::string> timeline_sections(cli.observe ? n_points : 0);
   g_timeline_path = &cli.timeline_path;
   size_t index = 0;
   for (const std::string& mix : cli.mixes) {
     for (const LoopMode mode : cli.loops) {
       std::string* slot = &serve_sections[index];
       ServeTimeline* timeline = nullptr;
-      std::string* timeline_slot = nullptr;
       if (cli.observe) {
         ServeTimeline::Config tcfg;
         tcfg.mix = mix;
@@ -395,14 +406,12 @@ int main(int argc, char** argv) {
           timelines[index]->EnableSpans();
         }
         timeline = timelines[index].get();
-        timeline_slot = &timeline_sections[index];
       }
       ++index;
       const std::string label = "mix-" + mix + "/" + LoopModeName(mode);
-      runner.Add(label,
-                 [&cli, mix, mode, slot, timeline, timeline_slot](pmemsim_bench::SweepPoint& point) {
-                   RunPoint(cli, mix, mode, point, slot, timeline, timeline_slot);
-                 });
+      runner.Add(label, [&cli, mix, mode, slot, timeline](pmemsim_bench::SweepPoint& point) {
+        RunPoint(cli, mix, mode, point, slot, timeline);
+      });
     }
   }
 
@@ -443,24 +452,8 @@ int main(int argc, char** argv) {
     slo.EndArray();
     report.AddSection("slo", slo.str());
   }
-  if (!cli.timeline_path.empty()) {
-    pmemsim::JsonWriter timeline;
-    timeline.BeginObject();
-    timeline.Key("schema_version").Value(uint64_t{1});
-    timeline.Key("bench").Value("pmemsim_serve");
-    timeline.Key("points").BeginArray();
-    for (const std::string& section : timeline_sections) {
-      if (section.empty()) {
-        timeline.Null();  // point never ran; keep indexes aligned with rows
-      } else {
-        timeline.Raw(section);
-      }
-    }
-    timeline.EndArray();
-    timeline.EndObject();
-    if (!WriteFileOrComplain(cli.timeline_path, timeline.str())) {
-      io_rc = 1;
-    }
+  if (!cli.timeline_path.empty() && !WriteTimelineArtifact(cli.timeline_path, timelines)) {
+    io_rc = 1;
   }
   if (!cli.spans_path.empty() &&
       !WriteFileOrComplain(cli.spans_path, timelines[0]->SpansToJson())) {

@@ -28,6 +28,7 @@
 #include <vector>
 
 #include "bench/bench_util.h"
+#include "src/common/check.h"
 #include "src/common/random.h"
 #include "src/core/platform.h"
 #include "src/cpu/scheduler.h"
@@ -328,12 +329,22 @@ int main(int argc, char** argv) {
                       return StepResult::kProgress;
                     }});
   }
-  const Cycles end = Scheduler::Run(jobs, &sampler);
+  // A too-fine interval fails the sampler's window-cap CHECK (its message,
+  // printed above, names the flag); exit cleanly with the flag's value.
+  Cycles end = 0;
+  try {
+    ScopedCheckCapture capture;
+    end = Scheduler::Run(jobs, &sampler);
+    sampler.Finalize(end);
+  } catch (const CheckFailure&) {
+    std::fprintf(stderr, "error: sampled run failed (--sample_interval_cycles=%" PRIu64 ")\n",
+                 cfg.interval);
+    return 1;
+  }
   if (bad_workload) {
     pmemsim_bench::Flags::BadValue("workload", cfg.workload,
                                    "seq_load|rand_load|seq_store|rand_store|ntstore|rap");
   }
-  sampler.Finalize(end);
 
   const Counters global = global_delta.Delta();
   const Counters sum = sampler.SumOfDeltas();

@@ -2,8 +2,9 @@
 // operations per wall-clock second the cycle-level engine sustains on the
 // hot-path workload shapes — sequential loads, random loads over an
 // AIT-overflowing working set, dependent pointer chasing, ntstore+fence
-// streams, and a mixed CCEH insert/lookup phase. The sweep scale of the
-// figure grid is bounded by this number, so the harness writes a trajectory
+// streams, a mixed CCEH insert/lookup phase, and FAST&FAIR lookups recorded
+// by a latency-attribution collector. The sweep scale of the figure grid is
+// bounded by this number, so the harness writes a trajectory
 // baseline (BENCH_hotpath.json at the repo root) that CI's perf-smoke job
 // gates against scripts/check_perf.py with a generous regression margin.
 //
@@ -21,10 +22,13 @@
 #include <vector>
 
 #include "bench/bench_util.h"
+#include "src/common/check.h"
 #include "src/common/random.h"
 #include "src/core/platform.h"
 #include "src/datastores/cceh.h"
 #include "src/datastores/chase_list.h"
+#include "src/datastores/fast_fair.h"
+#include "src/trace/attribution.h"
 #include "src/trace/counters.h"
 
 namespace {
@@ -175,6 +179,45 @@ WorkloadResult RunCcehMixed(uint64_t ops) {
   return r;
 }
 
+// FAST&FAIR point lookups on a warm 20k-key tree with a latency-attribution
+// collector installed, as every serve shard runs: nearly every load is an L1
+// hit, so this floors the host cost of a recorded cache hit.
+WorkloadResult RunTreeGet(uint64_t ops) {
+  constexpr uint64_t kKeys = 20'000;
+  auto system = MakeG1System(/*optane_dimm_count=*/1);
+  ThreadContext& ctx = system->CreateThread();
+  AttributionCollector attribution;
+  system->SetAttribution(&attribution);
+  FastFairTree tree(system.get(), ctx);
+  std::vector<uint64_t> keys(kKeys);
+  for (uint64_t k = 0; k < kKeys; ++k) {
+    keys[k] = k + 1;
+  }
+  Rng rng(0x5EED0005);
+  rng.Shuffle(keys);
+  for (uint64_t k : keys) {
+    tree.Insert(ctx, k, k * 3, BTreeUpdateMode::kInPlace);
+  }
+  uint64_t value = 0;
+  for (uint64_t k : keys) {
+    (void)tree.Get(ctx, k, &value);  // warm the caches
+  }
+
+  WorkloadResult r;
+  CounterDelta delta(&system->counters());
+  const Cycles start_cycles = ctx.clock();
+  const double t0 = Now();
+  for (uint64_t i = 0; i < ops; ++i) {
+    const uint64_t key = 1 + rng.NextBelow(kKeys);
+    PMEMSIM_CHECK(tree.Get(ctx, key, &value) && value == key * 3);
+  }
+  r.wall_sec = Now() - t0;
+  r.ops = ops;
+  r.sim_cycles = ctx.clock() - start_cycles;
+  r.delta = delta.Delta();
+  return r;
+}
+
 }  // namespace
 
 int main(int argc, char** argv) {
@@ -185,6 +228,7 @@ int main(int argc, char** argv) {
         "  --quick          1/16 of the default op counts (the CI perf-smoke mode)\n"
         "  --ops_scale=N    scale default op counts to N%% (overrides --quick)\n"
         "  --workload=name  run only one of: seq_load rand_load chase ntstore cceh_mixed\n"
+        "                   tree_get\n"
         "  --reps=N         repetitions per workload (default 5), interleaved\n"
         "                   round-robin so ambient host load drifts across all\n"
         "                   workloads equally; reported throughput is the median\n"
@@ -205,9 +249,9 @@ int main(int argc, char** argv) {
     WorkloadFn fn;
   };
   const std::vector<Spec> specs = {
-      {"seq_load", 4'000'000, RunSeqLoad},       {"rand_load", 2'000'000, RunRandLoad},
-      {"chase", 1'000'000, RunChase},            {"ntstore", 2'000'000, RunNtStore},
-      {"cceh_mixed", 1'000'000, RunCcehMixed},
+      {"seq_load", 4'000'000, RunSeqLoad},     {"rand_load", 2'000'000, RunRandLoad},
+      {"chase", 1'000'000, RunChase},          {"ntstore", 2'000'000, RunNtStore},
+      {"cceh_mixed", 1'000'000, RunCcehMixed}, {"tree_get", 1'000'000, RunTreeGet},
   };
   if (!only.empty()) {
     bool known = false;
@@ -272,6 +316,7 @@ int main(int argc, char** argv) {
     std::printf("%s,%llu,%.1f,%.3f,%.1f\n", spec.name, static_cast<unsigned long long>(r.ops),
                 wall_sec * 1e3, mops, cycles_per_op);
     const double sim_cycles = static_cast<double>(r.sim_cycles);
+    const double demand = static_cast<double>(r.delta.demand_loads + r.delta.demand_stores);
     report.AddRow()
         .Set("workload", spec.name)
         .Set("ops", r.ops)
@@ -286,6 +331,8 @@ int main(int argc, char** argv) {
         .Set("wpq_stall_share", sim_cycles > 0
                                     ? static_cast<double>(r.delta.wpq_stall_cycles) / sim_cycles
                                     : 0.0)
+        .Set("loads_per_op", static_cast<double>(r.delta.demand_loads) / static_cast<double>(r.ops))
+        .Set("l1_hit_ratio", demand > 0 ? static_cast<double>(r.delta.l1_hits) / demand : 0.0)
         .Set("media_read_bytes", r.delta.media_read_bytes)
         .Set("media_write_bytes", r.delta.media_write_bytes)
         .Set("ait_misses", r.delta.ait_misses)

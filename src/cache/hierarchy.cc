@@ -34,23 +34,25 @@ void CacheHierarchy::Store(Addr addr, Cycles now, HierAccessResult* out) {
 void CacheHierarchy::AccessInternal(Addr addr, Cycles now, bool is_store, bool ordered,
                                     bool train, HierAccessResult* out) {
   const Addr line = CacheLineBase(addr);
-  PrefetchEngine::DemandInfo info;
-  info.line = line;
-  info.now = now;
-
   bool ft = false;
   Cycles avail = now;
   if (l1_.Access(line, now, is_store, &ft, &avail)) {
     ++counters_->l1_hits;
-    info.l1_hit = true;
-    info.first_touch_prefetched = ft;
     out->complete_at = avail + l1_.hit_latency();
     out->hit_level = 1;
     if (train) {
-      TrainEngine(info);
+      if (ft) {
+        TrainEngine({.line = line, .now = now, .l1_hit = true, .first_touch_prefetched = true});
+      } else {
+        engine_.TrainDcu(line, now);  // the only detector an L1 hit can train
+      }
     }
     return;
   }
+
+  PrefetchEngine::DemandInfo info;
+  info.line = line;
+  info.now = now;
 
   // L1 missed: the rest of the walk may touch the L3 set block, the DIMM
   // translation cache, and the on-DIMM buffer indexes — all cold in the host

@@ -90,12 +90,12 @@ class CacheHierarchy : public PrefetchSink {
   void AccessInternal(Addr addr, Cycles now, bool is_store, bool ordered, bool train,
                       HierAccessResult* out);
   // Trains the prefetch engine on a demand access; with every prefetcher
-  // disabled it collapses to the one state change that path performs.
+  // disabled it collapses to the DCU step, which then only records the line.
   void TrainEngine(const PrefetchEngine::DemandInfo& info) {
     if (engine_.any_enabled()) {
       engine_.OnDemandAccess(info);
     } else {
-      engine_.NoteDemandOnly(info.line);
+      engine_.TrainDcu(info.line, info.now);
     }
   }
   // Inserts into a level, cascading dirty evictions downward.

@@ -24,12 +24,7 @@ void PrefetchEngine::SetEnabled(bool adjacent, bool dcu, bool stream) {
 
 void PrefetchEngine::OnDemandAccess(const DemandInfo& info) {
   const Addr line = CacheLineBase(info.line);
-
-  if (dcu_enabled_ && last_demand_line_ != ~0ull &&
-      line == last_demand_line_ + kCacheLineSize) {
-    sink_->PrefetchFill(line + kCacheLineSize, info.now, /*into_l1=*/true);
-  }
-  last_demand_line_ = line;
+  TrainDcu(line, info.now);
 
   if (adjacent_enabled_) {
     const bool l2_demand_miss = !info.l1_hit && !info.l2_hit;

@@ -51,11 +51,18 @@ class PrefetchEngine {
 
   void OnDemandAccess(const DemandInfo& info);
 
-  // Training fast path for the all-prefetchers-disabled configuration: with
-  // every prefetcher off, the only state OnDemandAccess changes is the DCU
-  // detector's last demand line — record exactly that (`line` must already be
-  // cacheline-aligned) without building a DemandInfo or making a call.
-  void NoteDemandOnly(Addr line) { last_demand_line_ = line; }
+  // The DCU detector's step of OnDemandAccess (`line` cacheline-aligned): it
+  // fires on an ascending pair and records the line. It is the whole of
+  // OnDemandAccess for an L1 hit that is not the first demand touch of a
+  // prefetched line, which the adjacent-line and stream prefetchers ignore,
+  // and for any access with every prefetcher off. Inline because L1 hits are
+  // most of the demand stream.
+  void TrainDcu(Addr line, Cycles now) {
+    if (dcu_enabled_ && last_demand_line_ != ~0ull && line == last_demand_line_ + kCacheLineSize) {
+      sink_->PrefetchFill(line + kCacheLineSize, now, /*into_l1=*/true);
+    }
+    last_demand_line_ = line;
+  }
 
   void SetEnabled(bool adjacent, bool dcu, bool stream);
   bool any_enabled() const { return adjacent_enabled_ || dcu_enabled_ || stream_enabled_; }

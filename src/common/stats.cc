@@ -56,17 +56,6 @@ void Histogram::AllocateBuckets() {
   }
 }
 
-int Histogram::BucketFor(uint64_t value) {
-  if (value < kSubBuckets) {
-    return static_cast<int>(value);
-  }
-  const int msb = 63 - __builtin_clzll(value);
-  const int octave = msb - kSubBucketBits + 1;
-  const int sub = static_cast<int>((value >> (msb - kSubBucketBits)) & (kSubBuckets - 1));
-  int bucket = (octave + 1) * kSubBuckets + sub;
-  return std::min<int>(bucket, kOctaves * kSubBuckets - 1);
-}
-
 uint64_t Histogram::BucketMidpoint(int bucket) {
   if (bucket < kSubBuckets) {
     return static_cast<uint64_t>(bucket);
@@ -77,19 +66,6 @@ uint64_t Histogram::BucketMidpoint(int bucket) {
                         << (octave - 1);
   const uint64_t width = 1ull << std::max(0, octave - 1);
   return base + width / 2;
-}
-
-void Histogram::Add(uint64_t value) {
-  if (count_ == 0) {
-    min_ = max_ = value;
-  } else {
-    min_ = std::min(min_, value);
-    max_ = std::max(max_, value);
-  }
-  ++count_;
-  sum_ += static_cast<double>(value);
-  AllocateBuckets();
-  ++buckets_[static_cast<size_t>(BucketFor(value))];
 }
 
 void Histogram::Merge(const Histogram& other) {

@@ -3,6 +3,7 @@
 #ifndef SRC_COMMON_STATS_H_
 #define SRC_COMMON_STATS_H_
 
+#include <algorithm>
 #include <cstdint>
 #include <string>
 #include <vector>
@@ -47,7 +48,21 @@ class Histogram {
  public:
   Histogram();
 
-  void Add(uint64_t value);
+  // Inline: every attributed access adds one or two samples.
+  void Add(uint64_t value) {
+    if (count_ == 0) {
+      min_ = max_ = value;
+    } else {
+      min_ = std::min(min_, value);
+      max_ = std::max(max_, value);
+    }
+    ++count_;
+    sum_ += static_cast<double>(value);
+    if (buckets_.empty()) {
+      AllocateBuckets();
+    }
+    ++buckets_[static_cast<size_t>(BucketFor(value))];
+  }
   void Merge(const Histogram& other);
 
   uint64_t count() const { return count_; }
@@ -81,7 +96,15 @@ class Histogram {
   static constexpr int kSubBuckets = 1 << kSubBucketBits;
   static constexpr int kOctaves = 40;
 
-  static int BucketFor(uint64_t value);
+  static int BucketFor(uint64_t value) {
+    if (value < kSubBuckets) {
+      return static_cast<int>(value);
+    }
+    const int msb = 63 - __builtin_clzll(value);
+    const int octave = msb - kSubBucketBits + 1;
+    const int sub = static_cast<int>((value >> (msb - kSubBucketBits)) & (kSubBuckets - 1));
+    return std::min<int>((octave + 1) * kSubBuckets + sub, kOctaves * kSubBuckets - 1);
+  }
   static uint64_t BucketMidpoint(int bucket);
   void AllocateBuckets();
 

@@ -55,38 +55,22 @@ Cycles ThreadContext::ScaleCore(Cycles c) const {
   return smt_scale_ == 1.0 ? c : static_cast<Cycles>(static_cast<double>(c) * smt_scale_);
 }
 
-void ThreadContext::RecordMemAccess(AttributionCollector::Op op, Cycles end_to_end,
-                                    const HierAccessResult& r) {
+void ThreadContext::RecordLoadMiss(Cycles latency, const MemStageBreakdown& mem) {
+  // The memory side reported where the span went; the fields sum exactly to
+  // `latency`, so nothing lands in the core remainder.
   AttributionCollector::StageDurations stages;
-  switch (r.hit_level) {
-    case 1:
-      stages.v[AttributionCollector::kL1Hit] = end_to_end;
-      break;
-    case 2:
-      stages.v[AttributionCollector::kL2Hit] = end_to_end;
-      break;
-    case 3:
-      stages.v[AttributionCollector::kL3Hit] = end_to_end;
-      break;
-    default:
-      // Full miss: the memory side reported where the span went; the fields
-      // sum exactly to end_to_end, so nothing lands in the core remainder.
-      stages.v[AttributionCollector::kImcTransit] = r.mem.imc_transit;
-      stages.v[AttributionCollector::kRapStall] = r.mem.rap_stall;
-      stages.v[AttributionCollector::kReadBuffer] = r.mem.buffer;
-      stages.v[AttributionCollector::kAitLookup] = r.mem.ait;
-      stages.v[AttributionCollector::kMediaRead] = r.mem.media;
-      stages.v[AttributionCollector::kDram] = r.mem.dram;
-      break;
-  }
-  attribution_->RecordAccess(op, end_to_end, stages);
+  stages.v[AttributionCollector::kImcTransit] = mem.imc_transit;
+  stages.v[AttributionCollector::kRapStall] = mem.rap_stall;
+  stages.v[AttributionCollector::kReadBuffer] = mem.buffer;
+  stages.v[AttributionCollector::kAitLookup] = mem.ait;
+  stages.v[AttributionCollector::kMediaRead] = mem.media;
+  stages.v[AttributionCollector::kDram] = mem.dram;
+  attribution_->RecordAccess(AttributionCollector::kLoad, latency, stages);
 }
 
 void ThreadContext::RecordPersistOp(AttributionCollector::Op op, Cycles t0, Cycles wpq_wait,
                                     Cycles accepted_at) {
-  AttributionCollector::StageDurations stages;
-  stages.v[AttributionCollector::kWpqWait] = wpq_wait;
-  attribution_->RecordAccess(op, clock_ - t0, stages);
+  attribution_->RecordStage(op, clock_ - t0, AttributionCollector::kWpqWait, wpq_wait);
   // The acceptance delay itself is asynchronous — it surfaces at the next
   // fence — so it is tracked outside the conservation identity.
   if (accepted_at > t0) {
@@ -99,23 +83,23 @@ uint64_t ThreadContext::LoadInternal(Addr addr, bool train) {
   // that page first: it overlaps the whole simulated walk. No simulated
   // effect (dependent-chase shapes cannot hint their next address early, so
   // this entry-point overlap is all the host parallelism they get). Skipped
-  // when an explicit hint already warmed the line one operation ago.
-  if (CacheLineBase(addr) != hint_line_) {
+  // when an explicit hint or the previous load already warmed the line.
+  const Addr line = CacheLineBase(addr);
+  if (line != hint_line_ && line != last_load_line_) {
     backing_->PrefetchRead(addr);
   }
+  last_load_line_ = line;
   // Out-of-order early execution: an unordered load targeting a just-flushed
   // line can issue before the flush's invalidation retires and hit the cache.
   if (!loads_ordered_ && recent_flush_count_ != 0) {
-    const Addr line = CacheLineBase(addr);
     for (uint32_t i = 0; i < recent_flush_count_; ++i) {
       if (recent_flushes_[i] == line && hier_->ProbeAny(line, /*now=*/0)) {
         const Cycles latency = ScaleCore(hier_->l1().hit_latency());
         last_access_ = {1, latency, 0};
         clock_ += latency;
         if (attribution_ != nullptr) {
-          HierAccessResult early;
-          early.hit_level = 1;
-          RecordMemAccess(AttributionCollector::kLoad, latency, early);
+          attribution_->RecordStage(AttributionCollector::kLoad, latency,
+                                    AttributionCollector::kL1Hit, latency);
         }
         return backing_->ReadU64(addr);
       }
@@ -130,7 +114,12 @@ uint64_t ThreadContext::LoadInternal(Addr addr, bool train) {
   last_access_ = {r.hit_level, latency, r.stalled_for};
   clock_ += latency;
   if (attribution_ != nullptr) {
-    RecordMemAccess(AttributionCollector::kLoad, latency, r);
+    if (r.hit_level >= 1) {
+      attribution_->RecordStage(AttributionCollector::kLoad, latency,
+                                AttributionCollector::HitStage(r.hit_level), latency);
+    } else {
+      RecordLoadMiss(latency, r.mem);
+    }
   }
   return backing_->ReadU64(addr);
 }
@@ -216,24 +205,16 @@ void ThreadContext::StoreTimed(Addr addr) {
   last_access_ = {r.hit_level, latency, r.stalled_for};
   clock_ += latency + ScaleCore(cpu_.store_issue_cost);
   if (attribution_ != nullptr) {
-    AttributionCollector::StageDurations stages;
-    switch (r.hit_level) {
-      case 1:
-        stages.v[AttributionCollector::kL1Hit] = latency;
-        break;
-      case 2:
-        stages.v[AttributionCollector::kL2Hit] = latency;
-        break;
-      case 3:
-        stages.v[AttributionCollector::kL3Hit] = latency;
-        break;
-      default:
-        // Posted miss: the RFO's memory latency is off the critical path, so
-        // the pipeline cost stays in core (the background traffic is visible
-        // in the bandwidth counters, not here).
-        break;
+    // What a hit spends beyond its hit latency lands in core, and so does a
+    // posted miss's whole pipeline cost: the RFO's memory latency is off the
+    // critical path (the background traffic shows in the bandwidth counters).
+    if (r.hit_level >= 1) {
+      attribution_->RecordStage(AttributionCollector::kStore, clock_ - t0,
+                                AttributionCollector::HitStage(r.hit_level), latency);
+    } else {
+      attribution_->RecordStage(AttributionCollector::kStore, clock_ - t0,
+                                AttributionCollector::kCore, 0);
     }
-    attribution_->RecordAccess(AttributionCollector::kStore, clock_ - t0, stages);
   }
 }
 
@@ -316,7 +297,7 @@ void ThreadContext::ClwbEadr(Addr addr) {
   // cheap no-op and programs simply stop flushing.
   clock_ += 1;
   if (attribution_ != nullptr) {
-    attribution_->RecordAccess(AttributionCollector::kFlush, 1, {});
+    attribution_->RecordStage(AttributionCollector::kFlush, 1, AttributionCollector::kWpqWait, 0);
   }
   if (recorder_ != nullptr) {
     recorder_->Record(trace_tid_, TraceOp::kClwb, addr, 0, clock_);
@@ -329,7 +310,7 @@ void ThreadContext::ClflushoptEadr(Addr addr) {
   // cheap no-op.
   clock_ += 1;
   if (attribution_ != nullptr) {
-    attribution_->RecordAccess(AttributionCollector::kFlush, 1, {});
+    attribution_->RecordStage(AttributionCollector::kFlush, 1, AttributionCollector::kWpqWait, 0);
   }
   if (recorder_ != nullptr) {
     recorder_->Record(trace_tid_, TraceOp::kClflushopt, addr, 0, clock_);
@@ -452,9 +433,8 @@ void ThreadContext::FenceCommon(bool is_mfence) {
   if (attribution_ != nullptr) {
     // The wait for outstanding WPQ acceptances is where the asynchronous
     // persist delays become synchronous: the fence's wpq_wait stage.
-    AttributionCollector::StageDurations stages;
-    stages.v[AttributionCollector::kWpqWait] = wait_until - t0;
-    attribution_->RecordAccess(AttributionCollector::kFence, clock_ - t0, stages);
+    attribution_->RecordStage(AttributionCollector::kFence, clock_ - t0,
+                              AttributionCollector::kWpqWait, wait_until - t0);
   }
   if (observer_ != nullptr) {
     observer_->OnFence(clock_);

@@ -205,8 +205,9 @@ class ThreadContext {
   Cycles ScaleCore(Cycles c) const;
   void StoreTimed(Addr addr);
   void NoteRecentFlush(Addr line);
-  // Attribution recording (called only with attribution_ != nullptr).
-  void RecordMemAccess(AttributionCollector::Op op, Cycles end_to_end, const HierAccessResult& r);
+  // Attribution recording (called only with attribution_ != nullptr). Hits
+  // record inline through AttributionCollector::RecordStage.
+  void RecordLoadMiss(Cycles latency, const MemStageBreakdown& mem);
   void RecordPersistOp(AttributionCollector::Op op, Cycles t0, Cycles wpq_wait, Cycles accepted_at);
   // Trace recording for AddCompute (called only with recorder_ != nullptr).
   void RecordCompute(Cycles c);
@@ -242,9 +243,11 @@ class ThreadContext {
   using FlushFn = void (ThreadContext::*)(Addr);
   FlushFn clwb_impl_ = nullptr;        // bound in the constructors
   FlushFn clflushopt_impl_ = nullptr;  // bound in the constructors
-  // Last line warmed by HostPrefetchHint; the load entry point skips its
-  // backing-data prefetch for it. Host-only state, never read by timing code.
+  // Last lines warmed by HostPrefetchHint and by the previous load; the load
+  // entry point skips its backing-data prefetch for them. Host-only state,
+  // never read by timing code.
   mutable Addr hint_line_ = ~Addr{0};
+  Addr last_load_line_ = ~Addr{0};
 };
 
 }  // namespace pmemsim

@@ -65,16 +65,10 @@ void AttributionCollector::RecordAccess(Op op, Cycles end_to_end,
   ++access_count_;
   end_to_end_total_ += end_to_end;
   op_hist_[op].Add(end_to_end);
-  for (int s = 0; s < kStageCount; ++s) {
-    Cycles v = stages.v[s];
-    if (s == kCore) {
-      v += end_to_end - attributed;  // conservation: remainder -> core
-    }
-    if (v == 0) {
-      continue;
-    }
-    stage_total_[s] += v;
-    stage_hist_[s].Add(v);
+  // Conservation: the remainder goes to core.
+  AddStage(kCore, stages.v[kCore] + (end_to_end - attributed));
+  for (int s = kCore + 1; s < kStageCount; ++s) {
+    AddStage(static_cast<Stage>(s), stages.v[s]);
   }
 }
 

@@ -31,6 +31,7 @@
 #include <cstdint>
 #include <string>
 
+#include "src/common/check.h"
 #include "src/common/stats.h"
 #include "src/common/types.h"
 
@@ -71,6 +72,8 @@ class AttributionCollector {
 
   static const char* OpName(Op op);
   static const char* StageName(Stage stage);
+  // kL1Hit, kL2Hit or kL3Hit for a cache hit at `level` (1..3).
+  static Stage HitStage(uint8_t level) { return static_cast<Stage>(kL1Hit + level - 1); }
 
   struct StageDurations {
     Cycles v[kStageCount] = {};
@@ -78,7 +81,26 @@ class AttributionCollector {
 
   // Records one completed operation. Stages must not exceed `end_to_end`;
   // the difference is credited to kCore so conservation holds per access.
+  // Only full cache misses spread over several stages; every other operation
+  // records through RecordStage.
   void RecordAccess(Op op, Cycles end_to_end, const StageDurations& stages);
+
+  // RecordAccess for an operation whose attributed cycles all lie in one
+  // stage: `cycles` to `stage`, the remainder of `end_to_end` to kCore. Inline
+  // because cache hits, hit stores, flushes and fences take this path, and an
+  // L1 hit is most of a serve run's accesses.
+  void RecordStage(Op op, Cycles end_to_end, Stage stage, Cycles cycles) {
+    PMEMSIM_CHECK_MSG(cycles <= end_to_end, "attribution: stage sum exceeds end-to-end latency");
+    ++access_count_;
+    end_to_end_total_ += end_to_end;
+    op_hist_[op].Add(end_to_end);
+    if (stage == kCore) {
+      AddStage(kCore, end_to_end);
+      return;
+    }
+    AddStage(kCore, end_to_end - cycles);
+    AddStage(stage, cycles);
+  }
 
   // Records an asynchronous persist-acceptance delay (nt-store/flush issue to
   // WPQ acceptance). Outside the conservation identity by design.
@@ -119,6 +141,13 @@ class AttributionCollector {
   std::string CriticalPathTable() const;
 
  private:
+  void AddStage(Stage stage, Cycles v) {
+    if (v != 0) {
+      stage_total_[stage] += v;
+      stage_hist_[stage].Add(v);
+    }
+  }
+
   Histogram op_hist_[kOpCount];
   Histogram stage_hist_[kStageCount];
   Histogram async_accept_hist_;

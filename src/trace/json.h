@@ -47,6 +47,10 @@ class JsonWriter {
 
   bool complete() const { return has_element_.empty() && started_; }
   const std::string& str() const { return out_; }
+  // Moves the text written so far out of the writer. The nesting state stays,
+  // so writing continues where it left off: a caller can stream a large
+  // document to a file piece by piece.
+  std::string TakeText() { return std::exchange(out_, {}); }
 
  private:
   void BeforeValue();

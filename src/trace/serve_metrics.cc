@@ -385,7 +385,8 @@ std::string ServeTimeline::SpansToJson() const {
 std::string ServeTimeline::SpansToChromeTrace() const {
   // chrome://tracing "X" (complete) events; ts/dur are simulated cycles
   // rendered as microseconds by the viewer — relative shape is what matters.
-  return WriteChromeTrace([this](JsonWriter& w) {
+  JsonWriter out;
+  WriteChromeTrace(out, [this](JsonWriter& w) {
     for (uint32_t s = 0; s < cfg_.shards; ++s) {
       TraceNameRow(w, s, std::nullopt, "shard " + std::to_string(s));
     }
@@ -409,6 +410,7 @@ std::string ServeTimeline::SpansToChromeTrace() const {
       }
     }
   });
+  return out.str();
 }
 
 }  // namespace pmemsim

@@ -21,8 +21,8 @@ void FlushTraceOnUnwind() {
 }
 }  // namespace
 
-std::string WriteChromeTrace(const std::function<void(JsonWriter&)>& rows, uint64_t dropped) {
-  JsonWriter w;
+void WriteChromeTrace(JsonWriter& w, const std::function<void(JsonWriter&)>& rows,
+                      uint64_t dropped) {
   w.BeginObject();
   w.Key("displayTimeUnit").Value("ns");
   w.Key("traceEvents").BeginArray();
@@ -32,7 +32,6 @@ std::string WriteChromeTrace(const std::function<void(JsonWriter&)>& rows, uint6
     w.Key("pmemsim_dropped_events").Value(dropped);
   }
   w.EndObject();
-  return w.str();
 }
 
 void TraceRow(JsonWriter& w, const std::string& name, char ph, uint64_t pid,
@@ -90,11 +89,11 @@ int TraceEmitter::RegisterTrack(const std::string& name) {
   return static_cast<int>(tracks_.size()) - 1;
 }
 
-void TraceEmitter::Push(Event e) {
+void TraceEmitter::Push(const Event& e) {
   if (Buffer* buffer = redirect_) {
     // A buffer never holds more than the emitter could take at the merge.
     if (buffer->events.size() < kMaxEvents) {
-      buffer->events.push_back(std::move(e));
+      buffer->events.push_back(e);
     } else {
       ++buffer->dropped;
     }
@@ -105,7 +104,7 @@ void TraceEmitter::Push(Event e) {
     ++dropped_;
     return;
   }
-  events_.push_back(std::move(e));
+  events_.push_back(e);
 }
 
 void TraceEmitter::Merge(std::vector<Buffer>* buffers) {
@@ -122,17 +121,17 @@ void TraceEmitter::Merge(std::vector<Buffer>* buffers) {
   }
 }
 
-void TraceEmitter::Instant(int track, const std::string& name, Cycles ts) {
-  Push(Event{'i', track, name, ts, false, {}, 0.0});
+void TraceEmitter::Instant(int track, const char* name, Cycles ts) {
+  Push(Event{'i', track, name, ts, nullptr, 0.0});
 }
 
-void TraceEmitter::Instant(int track, const std::string& name, Cycles ts,
-                           const std::string& arg_name, double arg_value) {
-  Push(Event{'i', track, name, ts, true, arg_name, arg_value});
+void TraceEmitter::Instant(int track, const char* name, Cycles ts, const char* arg_name,
+                           double arg_value) {
+  Push(Event{'i', track, name, ts, arg_name, arg_value});
 }
 
-void TraceEmitter::CounterEvent(int track, const std::string& name, Cycles ts, double value) {
-  Push(Event{'C', track, name, ts, true, "value", value});
+void TraceEmitter::CounterEvent(int track, const char* name, Cycles ts, double value) {
+  Push(Event{'C', track, name, ts, "value", value});
 }
 
 bool TraceEmitter::Flush() {
@@ -141,27 +140,38 @@ bool TraceEmitter::Flush() {
 }
 
 bool TraceEmitter::FlushLocked() {
-  auto rows = [this](JsonWriter& w) {
-    for (size_t i = 0; i < tracks_.size(); ++i) {
-      TraceNameRow(w, 0, i, tracks_[i]);
-    }
-    for (const Event& e : events_) {
-      TraceRow(w, e.name, e.phase, 0, e.track, e.ts);
-      if (e.phase == 'i') {
-        w.Key("s").Value("t");  // thread-scoped instant
-      }
-      if (e.has_arg) {
-        w.Key("args").BeginObject().Key(e.arg_name).Value(e.arg_value).EndObject();
-      }
-      w.EndObject();
-    }
-  };
-  const std::string text = WriteChromeTrace(rows, dropped_);
   std::FILE* f = std::fopen(path_.c_str(), "w");
   if (f == nullptr) {
     return false;
   }
-  const bool ok = std::fwrite(text.data(), 1, text.size(), f) == text.size();
+  // A trace can run to hundreds of MB, so its text goes to the file in
+  // chunks instead of being held whole.
+  JsonWriter w;
+  bool ok = true;
+  auto drain = [&w, &ok, f] {
+    const std::string chunk = w.TakeText();
+    ok = std::fwrite(chunk.data(), 1, chunk.size(), f) == chunk.size() && ok;
+  };
+  auto rows = [this, &drain](JsonWriter& rw) {
+    for (size_t i = 0; i < tracks_.size(); ++i) {
+      TraceNameRow(rw, 0, i, tracks_[i]);
+    }
+    for (const Event& e : events_) {
+      TraceRow(rw, e.name, e.phase, 0, e.track, e.ts);
+      if (e.phase == 'i') {
+        rw.Key("s").Value("t");  // thread-scoped instant
+      }
+      if (e.arg_name != nullptr) {
+        rw.Key("args").BeginObject().Key(e.arg_name).Value(e.arg_value).EndObject();
+      }
+      rw.EndObject();
+      if (rw.str().size() >= kFlushChunkBytes) {
+        drain();
+      }
+    }
+  };
+  WriteChromeTrace(w, rows, dropped_);
+  drain();
   return std::fclose(f) == 0 && ok;
 }
 

@@ -41,9 +41,11 @@
 
 namespace pmemsim {
 
-// {"displayTimeUnit":"ns","traceEvents":[...]} with `rows(w)` writing the
-// array's elements, plus "pmemsim_dropped_events" when `dropped` is nonzero.
-std::string WriteChromeTrace(const std::function<void(JsonWriter&)>& rows, uint64_t dropped = 0);
+// Writes {"displayTimeUnit":"ns","traceEvents":[...]} into `w`, with
+// `rows(w)` writing the array's elements, plus "pmemsim_dropped_events" when
+// `dropped` is nonzero.
+void WriteChromeTrace(JsonWriter& w, const std::function<void(JsonWriter&)>& rows,
+                      uint64_t dropped = 0);
 
 // Opens one row with its leading keys in the order every trace uses: name,
 // ph, pid, [tid], then ts and [dur] for events. The caller adds the rest
@@ -58,14 +60,15 @@ void TraceNameRow(JsonWriter& w, uint64_t pid, std::optional<uint64_t> tid,
 
 class TraceEmitter {
  private:
+  // 40 bytes: names point at the callers' string literals, so a trace of
+  // millions of events holds no per-event heap strings.
   struct Event {
     char phase;  // 'i' or 'C'
     int track;
-    std::string name;
+    const char* name;
     Cycles ts;
-    bool has_arg = false;
-    std::string arg_name;
-    double arg_value = 0.0;
+    const char* arg_name;  // nullptr: no argument
+    double arg_value;
   };
 
  public:
@@ -85,13 +88,14 @@ class TraceEmitter {
   // to the event calls; track 0 is a default "sim" row. Thread-safe.
   int RegisterTrack(const std::string& name);
 
+  // Event and argument names must outlive the session: every caller passes
+  // a string literal, and the emitter keeps the pointer, not a copy.
   // Instant event ("i" phase), e.g. an eviction.
-  void Instant(int track, const std::string& name, Cycles ts);
+  void Instant(int track, const char* name, Cycles ts);
   // Instant event with one numeric argument, e.g. a batch write-back count.
-  void Instant(int track, const std::string& name, Cycles ts, const std::string& arg_name,
-               double arg_value);
+  void Instant(int track, const char* name, Cycles ts, const char* arg_name, double arg_value);
   // Counter series ("C" phase), e.g. WPQ occupancy over time.
-  void CounterEvent(int track, const std::string& name, Cycles ts, double value);
+  void CounterEvent(int track, const char* name, Cycles ts, double value);
 
   // One shard's events while it runs off the coordinating thread.
   struct Buffer {
@@ -115,11 +119,13 @@ class TraceEmitter {
   bool Flush();
 
  private:
-  void Push(Event e);
+  void Push(const Event& e);
   bool FlushLocked();
 
   // Bounds memory for long runs; beyond this, events are counted as dropped.
   static constexpr size_t kMaxEvents = 1 << 22;
+  // Flush() hands the file this much text at a time.
+  static constexpr size_t kFlushChunkBytes = 1 << 20;
   static inline thread_local Buffer* redirect_ = nullptr;
 
   // Guards tracks_, events_, dropped_, path_ against concurrent sweep-point

@@ -8,6 +8,8 @@
 #include <cstdint>
 #include <string>
 
+#include "src/common/check.h"
+#include "src/common/random.h"
 #include "src/core/platform.h"
 #include "src/trace/attribution.h"
 #include "src/trace/json.h"
@@ -39,6 +41,66 @@ TEST(Attribution, AsyncAcceptStaysOutsideConservation) {
   EXPECT_EQ(attr.StageTotalSum(), 10u);
   EXPECT_EQ(attr.async_accept_hist().count(), 1u);
   EXPECT_EQ(attr.async_accept_hist().Max(), 500u);
+}
+
+// RecordStage is RecordAccess with one named stage: a seeded random op
+// sequence recorded both ways must leave identical collectors, down to the
+// JSON bytes and the overlapped (critical-path) totals.
+TEST(Attribution, RecordStageMatchesRecordAccess) {
+  using A = AttributionCollector;
+  A one_stage;
+  A reference;
+  Rng rng(0xA77B1);
+  for (int i = 0; i < 20000; ++i) {
+    const auto op = static_cast<A::Op>(rng.NextBelow(A::kOpCount));
+    const auto stage = static_cast<A::Stage>(rng.NextBelow(A::kStageCount));
+    // Mostly small latencies, some spanning many histogram octaves, and the
+    // edge cases: zero end-to-end, and stage cycles of zero or all of it.
+    Cycles end_to_end = rng.NextBelow(600);
+    if (rng.NextBelow(8) == 0) {
+      end_to_end = rng.NextBelow(Cycles{1} << 30);
+    }
+    Cycles cycles = 0;
+    switch (rng.NextBelow(4)) {
+      case 0:
+        break;
+      case 1:
+        cycles = end_to_end;
+        break;
+      default:
+        cycles = rng.NextBelow(end_to_end + 1);
+        break;
+    }
+    one_stage.RecordStage(op, end_to_end, stage, cycles);
+    A::StageDurations stages;
+    stages.v[stage] = cycles;
+    reference.RecordAccess(op, end_to_end, stages);
+    if (rng.NextBelow(16) == 0) {
+      one_stage.RecordOverlapped(stages);
+      reference.RecordOverlapped(stages);
+    }
+  }
+  EXPECT_EQ(one_stage.ToJson(), reference.ToJson());
+  EXPECT_EQ(one_stage.access_count(), reference.access_count());
+  EXPECT_EQ(one_stage.end_to_end_total(), reference.end_to_end_total());
+  EXPECT_EQ(one_stage.StageTotalSum(), one_stage.end_to_end_total());
+  for (int s = 0; s < A::kStageCount; ++s) {
+    const auto stage = static_cast<A::Stage>(s);
+    EXPECT_EQ(one_stage.stage_total(stage), reference.stage_total(stage)) << A::StageName(stage);
+    EXPECT_EQ(one_stage.critical_stage_total(stage), reference.critical_stage_total(stage))
+        << A::StageName(stage);
+  }
+}
+
+TEST(Attribution, RecordStageChecksConservation) {
+  using A = AttributionCollector;
+  A attr;
+  ScopedCheckCapture capture;
+  EXPECT_THROW(attr.RecordStage(A::kLoad, 10, A::kL1Hit, 11), CheckFailure);
+  EXPECT_THROW(attr.RecordStage(A::kFence, 0, A::kWpqWait, 1), CheckFailure);
+  EXPECT_EQ(attr.access_count(), 0u);
+  EXPECT_NO_THROW(attr.RecordStage(A::kLoad, 10, A::kL1Hit, 10));
+  EXPECT_EQ(attr.access_count(), 1u);
 }
 
 // The identity the module exists for: drive a mixed trace through a real G1

@@ -1,9 +1,15 @@
 // Tests for the speculative helper-thread prefetcher beyond the integration
 // coverage: SMT scaling lifecycle, skip-ahead when the helper falls behind,
-// and the end-to-end effect on a CCEH worker.
+// and the end-to-end effect on a CCEH worker. Also pins the cache prefetch
+// engine's inline L1-hit training to its general demand path.
 
 #include <gtest/gtest.h>
 
+#include <tuple>
+#include <vector>
+
+#include "src/cache/prefetcher.h"
+#include "src/common/random.h"
 #include "src/core/platform.h"
 #include "src/cpu/scheduler.h"
 #include "src/datastores/cceh.h"
@@ -92,6 +98,80 @@ TEST(HelperThreadTest, PrefetchingWarmsWorkerReads) {
   const Cycles baseline = run(false);
   const Cycles with_helper = run(true);
   EXPECT_LT(with_helper, baseline);
+}
+
+// Logs every fill a prefetch engine asks for.
+class RecordingSink : public PrefetchSink {
+ public:
+  void PrefetchFill(Addr line_addr, Cycles now, bool into_l1) override {
+    fills.emplace_back(line_addr, now, into_l1);
+  }
+  std::vector<std::tuple<Addr, Cycles, bool>> fills;
+};
+
+// TrainDcu stands in for OnDemandAccess on an L1 hit that is not the first
+// touch of a prefetched line. With all three prefetchers on, a random demand
+// stream fed through both paths must issue the same fills in the same order
+// and leave the same detector state (probed by a second, identical stream).
+TEST(PrefetchEngineTest, InlineL1HitTrainingMatchesDemandPath) {
+  CacheConfig config = G1Platform().cache;
+  config.adjacent_line_prefetch = true;
+  config.dcu_streamer_prefetch = true;
+  config.l2_stream_prefetch = true;
+  RecordingSink inline_sink, reference_sink;
+  PrefetchEngine inline_engine(config, &inline_sink, /*rng_seed=*/7);
+  PrefetchEngine reference(config, &reference_sink, /*rng_seed=*/7);
+
+  Rng rng(0x9F1E7C);
+  Addr line = 0;
+  uint64_t l1_hits = 0;
+  for (Cycles now = 0; now < 50000; ++now) {
+    // Ascending runs (the DCU and stream triggers), strides, and jumps
+    // within a few pages, so every detector both fires and resets.
+    switch (rng.NextBelow(4)) {
+      case 0:
+        line = rng.NextBelow(4 * kPageSize / kCacheLineSize) * kCacheLineSize;
+        break;
+      case 1:
+        line += kCacheLineSize * (1 + rng.NextBelow(3));
+        break;
+      default:
+        line += kCacheLineSize;
+        break;
+    }
+    PrefetchEngine::DemandInfo info;
+    info.line = line;
+    info.now = now;
+    info.l1_hit = rng.NextBelow(4) != 0;
+    info.l2_hit = !info.l1_hit && rng.NextBelow(2) == 0;
+    info.first_touch_prefetched = rng.NextBelow(8) == 0;
+    if (info.l1_hit && !info.first_touch_prefetched) {
+      inline_engine.TrainDcu(line, now);
+      ++l1_hits;
+    } else {
+      inline_engine.OnDemandAccess(info);
+    }
+    reference.OnDemandAccess(info);
+  }
+  EXPECT_GT(l1_hits, 20000u);
+  EXPECT_GT(reference_sink.fills.size(), 1000u);
+  EXPECT_EQ(inline_sink.fills, reference_sink.fills);
+
+  // Same detector state: an ascending continuation of the last line fires the
+  // DCU streamer at once, and L2 misses retrain the stream table.
+  inline_sink.fills.clear();
+  reference_sink.fills.clear();
+  for (int i = 1; i <= 64; ++i) {
+    PrefetchEngine::DemandInfo info;
+    info.line = line + static_cast<Addr>(i) * kCacheLineSize;
+    info.now = 60000 + static_cast<Cycles>(i);
+    inline_engine.OnDemandAccess(info);
+    reference.OnDemandAccess(info);
+  }
+  ASSERT_FALSE(reference_sink.fills.empty());
+  EXPECT_EQ(reference_sink.fills.front(),
+            std::make_tuple(line + 2 * kCacheLineSize, Cycles{60001}, true));
+  EXPECT_EQ(inline_sink.fills, reference_sink.fills);
 }
 
 }  // namespace
